@@ -456,8 +456,8 @@ void run_interseq_comparison() {
   };
   struct DbCase {
     std::string shape;
-    std::size_t records;
-    std::uint64_t cells;
+    std::size_t records = 0;
+    std::uint64_t cells = 0;
     std::vector<ShapeRow> rows;
     double interseq_vs_striped = 0.0;
   };

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 // Same availability gate as sw_striped.cpp: per-function target attributes
 // keep the translation unit buildable with portable baseline flags, and the
@@ -88,22 +89,24 @@ InterSeqProfile::InterSeqProfile(std::span<const seq::Code> query, const Scoring
 
 namespace {
 
-// Scalar per-lane bookkeeping shared by both ISA widths: fold the lanes
-// whose row max reached their threshold (and whose sticky overflow flag is
-// still clear — a saturated lane's result is discarded at retirement, so
-// rescanning it is pure waste). The row rescan in query order reproduces
-// sw_linear's canonical (j, i)-lexicographic tie-break exactly, per lane.
+// Locate-mode bookkeeping shared by both ISA widths: for each lane whose
+// row max equals its record's known score, find the row's first column
+// holding that score. Rows arrive in increasing i, so a later row wins
+// only with a strictly smaller column — the scan stops left of the cell
+// already held, which reproduces sw_linear's canonical (j, i)
+// tie-break exactly.
 template <unsigned L>
-void rescan_lanes(std::uint32_t trig, const std::uint8_t* h, std::size_t n,
+void locate_lanes(std::uint32_t trig, const std::uint8_t* h, std::size_t n,
                   InterSeqWorkspace& ws) {
-  for (unsigned l = 0; l < L; ++l) {
-    if ((trig >> l) & 1u) {
-      LocalScoreResult& best = ws.best[l];
-      const std::size_t i = static_cast<std::size_t>(ws.row[l]);
-      for (std::size_t j = 1; j <= n; ++j) {
-        fold_best(best, static_cast<Score>(h[j * L + l]), Cell{i, j});
+  for (; trig != 0; trig &= trig - 1) {
+    const unsigned l = static_cast<unsigned>(__builtin_ctz(trig));
+    Cell& cell = ws.cell[l];
+    const std::size_t limit = cell.j == 0 ? n : cell.j - 1;
+    for (std::size_t j = 1; j <= limit; ++j) {
+      if (h[j * L + l] == ws.peak[l]) {
+        cell = Cell{static_cast<std::size_t>(ws.row[l]), j};
+        break;
       }
-      ws.thresh[l] = static_cast<std::uint8_t>(best.score > 0 ? best.score : 1);
     }
   }
 }
@@ -130,9 +133,14 @@ void gather_codes(InterSeqWorkspace& ws, std::uint8_t neutral) {
 // the column's 16-slot table (or a lo/hi pair selected on code bit 4 via
 // blendv for alphabets up to 31 residues). There is no lazy-F loop: lanes
 // are independent records, so the horizontal-gap dependency is just the
-// carried vLeft of the previous column. Overflow is the striped kernels'
-// exact sticky-XOR test, accumulated per lane across the record's
-// lifetime instead of aborting the whole vector.
+// carried vLeft of the previous column.
+//
+// Scan (Locate = false): every cell folds into vPeak, the per-lane running
+// max carried across steps, and overflow is the striped kernels' exact
+// sticky-XOR test, accumulated per lane across the record's lifetime
+// instead of aborting the whole vector. Locate: vPeak restarts each row,
+// and a lane whose row max equals its known score is rescanned.
+template <bool Locate>
 __attribute__((target("sse4.1"))) void advance_sse41(const InterSeqProfile& p,
                                                      InterSeqWorkspace& ws, std::size_t steps) {
   constexpr unsigned L = 16;
@@ -142,6 +150,8 @@ __attribute__((target("sse4.1"))) void advance_sse41(const InterSeqProfile& p,
   const bool wide_tab = p.table_slots() == 32;
   const __m128i vGap = _mm_set1_epi8(static_cast<char>(p.gap8()));
   const __m128i vZero = _mm_setzero_si128();
+  const __m128i vIn = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ws.peak.data()));
+  __m128i vPeak = vIn;
   __m128i vOvf = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ws.ovf.data()));
 
   for (std::size_t step = 0; step < steps; ++step) {
@@ -153,7 +163,7 @@ __attribute__((target("sse4.1"))) void advance_sse41(const InterSeqProfile& p,
     const __m128i vSel = _mm_slli_epi16(vC, 3);
     __m128i vDiag = vZero;  // column 0 is the all-zero local border
     __m128i vLeft = vZero;
-    __m128i vMax = vZero;
+    if constexpr (Locate) vPeak = vZero;
     for (std::size_t j = 1; j <= n; ++j) {
       const std::uint8_t* pt = p.pos_tab(j);
       const std::uint8_t* nt = p.neg_tab(j);
@@ -173,22 +183,27 @@ __attribute__((target("sse4.1"))) void advance_sse41(const InterSeqProfile& p,
       }
       const __m128i vUp = _mm_loadu_si128(reinterpret_cast<const __m128i*>(h + j * L));
       const __m128i vSat = _mm_adds_epu8(vDiag, vPos);
-      vOvf = _mm_or_si128(vOvf, _mm_xor_si128(vSat, _mm_add_epi8(vDiag, vPos)));
+      if constexpr (!Locate) {
+        vOvf = _mm_or_si128(vOvf, _mm_xor_si128(vSat, _mm_add_epi8(vDiag, vPos)));
+      }
       __m128i vH = _mm_subs_epu8(vSat, vNeg);             // diagonal path, clamped at 0
       vH = _mm_max_epu8(vH, _mm_subs_epu8(vUp, vGap));    // vertical gap (previous row)
       vH = _mm_max_epu8(vH, _mm_subs_epu8(vLeft, vGap));  // horizontal gap (previous column)
       _mm_storeu_si128(reinterpret_cast<__m128i*>(h + j * L), vH);
-      vMax = _mm_max_epu8(vMax, vH);
+      vPeak = _mm_max_epu8(vPeak, vH);
       vDiag = vUp;
       vLeft = vH;
     }
-    const __m128i vTh = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ws.thresh.data()));
-    const std::uint32_t trig = static_cast<std::uint32_t>(_mm_movemask_epi8(
-        _mm_and_si128(_mm_cmpeq_epi8(_mm_max_epu8(vMax, vTh), vMax),
-                      _mm_cmpeq_epi8(vOvf, vZero))));
-    if (trig != 0) rescan_lanes<L>(trig, h, n, ws);
+    if constexpr (Locate) {
+      const std::uint32_t trig =
+          static_cast<std::uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(vPeak, vIn)));
+      if (trig != 0) locate_lanes<L>(trig, h, n, ws);
+    }
   }
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(ws.ovf.data()), vOvf);
+  if constexpr (!Locate) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(ws.peak.data()), vPeak);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(ws.ovf.data()), vOvf);
+  }
 }
 
 // --- AVX2, 32 records x 8-bit lanes ---------------------------------------
@@ -199,6 +214,7 @@ __attribute__((target("avx2"))) inline __m256i tab256(const std::uint8_t* tab) {
   return _mm256_broadcastsi128_si256(_mm_loadu_si128(reinterpret_cast<const __m128i*>(tab)));
 }
 
+template <bool Locate>
 __attribute__((target("avx2"))) void advance_avx2(const InterSeqProfile& p,
                                                   InterSeqWorkspace& ws, std::size_t steps) {
   constexpr unsigned L = 32;
@@ -208,6 +224,8 @@ __attribute__((target("avx2"))) void advance_avx2(const InterSeqProfile& p,
   const bool wide_tab = p.table_slots() == 32;
   const __m256i vGap = _mm256_set1_epi8(static_cast<char>(p.gap8()));
   const __m256i vZero = _mm256_setzero_si256();
+  const __m256i vIn = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ws.peak.data()));
+  __m256i vPeak = vIn;
   __m256i vOvf = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ws.ovf.data()));
 
   for (std::size_t step = 0; step < steps; ++step) {
@@ -216,7 +234,7 @@ __attribute__((target("avx2"))) void advance_avx2(const InterSeqProfile& p,
     const __m256i vSel = _mm256_slli_epi16(vC, 3);
     __m256i vDiag = vZero;
     __m256i vLeft = vZero;
-    __m256i vMax = vZero;
+    if constexpr (Locate) vPeak = vZero;
     for (std::size_t j = 1; j <= n; ++j) {
       const std::uint8_t* pt = p.pos_tab(j);
       const std::uint8_t* nt = p.neg_tab(j);
@@ -232,47 +250,68 @@ __attribute__((target("avx2"))) void advance_avx2(const InterSeqProfile& p,
       }
       const __m256i vUp = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(h + j * L));
       const __m256i vSat = _mm256_adds_epu8(vDiag, vPos);
-      vOvf = _mm256_or_si256(vOvf, _mm256_xor_si256(vSat, _mm256_add_epi8(vDiag, vPos)));
+      if constexpr (!Locate) {
+        vOvf = _mm256_or_si256(vOvf, _mm256_xor_si256(vSat, _mm256_add_epi8(vDiag, vPos)));
+      }
       __m256i vH = _mm256_subs_epu8(vSat, vNeg);
       vH = _mm256_max_epu8(vH, _mm256_subs_epu8(vUp, vGap));
       vH = _mm256_max_epu8(vH, _mm256_subs_epu8(vLeft, vGap));
       _mm256_storeu_si256(reinterpret_cast<__m256i*>(h + j * L), vH);
-      vMax = _mm256_max_epu8(vMax, vH);
+      vPeak = _mm256_max_epu8(vPeak, vH);
       vDiag = vUp;
       vLeft = vH;
     }
-    const __m256i vTh = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ws.thresh.data()));
-    const std::uint32_t trig = static_cast<std::uint32_t>(_mm256_movemask_epi8(
-        _mm256_and_si256(_mm256_cmpeq_epi8(_mm256_max_epu8(vMax, vTh), vMax),
-                         _mm256_cmpeq_epi8(vOvf, vZero))));
-    if (trig != 0) rescan_lanes<L>(trig, h, n, ws);
+    if constexpr (Locate) {
+      const std::uint32_t trig =
+          static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(vPeak, vIn)));
+      if (trig != 0) locate_lanes<L>(trig, h, n, ws);
+    }
   }
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(ws.ovf.data()), vOvf);
+  if constexpr (!Locate) {
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ws.peak.data()), vPeak);
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(ws.ovf.data()), vOvf);
+  }
 }
 
 }  // namespace
 
 #endif  // SWR_INTERSEQ_X86
 
-InterSeqStats sw_interseq_scan(const InterSeqProfile& profile, InterSeqWorkspace& ws,
-                               const InterSeqFetch& fetch, const InterSeqDone& done) {
+namespace {
+
+// The lane driver both passes share. Scan reports each retired lane's
+// running max (or nullopt when its overflow flag is set) through
+// done(tag, codes, score); Locate reports the lane's canonical end cell
+// through done(tag, cell). A dead lane's peak is 0xFF in Locate mode: its
+// pinned-to-zero rows never equal it.
+template <bool Locate, class Done>
+InterSeqStats drive(const InterSeqProfile& profile, InterSeqWorkspace& ws,
+                    const InterSeqFetch& fetch, const Done& done) {
   InterSeqStats stats;
   const unsigned L = profile.lanes8();
   if (!profile.usable() || sw_interseq_max_lanes() < L) {
     throw std::logic_error(
-        "sw_interseq_scan: kernel unusable here (check usable() and sw_interseq_max_lanes())");
+        "sw_interseq: kernel unusable here (check usable() and sw_interseq_max_lanes())");
   }
   const std::size_t n = profile.query_len();
 
-  // An empty query scores every record 0 at the empty-prefix corner —
-  // the same contract as sw_striped8_try — with no lane machinery.
-  if (n == 0) {
-    for (;;) {
-      const std::optional<InterSeqRecord> got = fetch(0);
-      if (!got) return stats;
-      done(got->tag, got->codes, LocalScoreResult{});
+  // Records that need no lane complete inline: empty records and (for an
+  // empty query) every record score 0 at the empty-prefix corner — the
+  // same contract as sw_striped8_try; in Locate mode so do score-0
+  // records, at Cell{}.
+  const auto complete_inline = [&](const InterSeqRecord& got) {
+    if constexpr (Locate) {
+      if (got.score < 0 || got.score > 0xFF) {
+        throw std::invalid_argument("sw_interseq_locate: seeded score outside 0..255");
+      }
+      if (got.score != 0 && !got.codes.empty() && n != 0) return false;
+      done(got.tag, Cell{});
+    } else {
+      if (!got.codes.empty() && n != 0) return false;
+      done(got.tag, got.codes, std::optional<Score>(0));
     }
-  }
+    return true;
+  };
 
   ws.h.assign((n + 1) * L, 0);
   std::array<std::uint64_t, kInterSeqMaxLanes> tag{};
@@ -283,7 +322,7 @@ InterSeqStats sw_interseq_scan(const InterSeqProfile& profile, InterSeqWorkspace
     for (std::size_t j = 1; j <= n; ++j) ws.h[j * L + l] = 0;
   };
 
-  // Installs the next non-empty record into lane `l` (empty records
+  // Installs the next record that needs a lane into lane `l` (the others
   // complete inline — they never occupy a lane step). Returns false when
   // fetch is drained: the lane goes dead and its column is pinned to zero
   // so the neutral feed stays score- and overflow-silent.
@@ -292,24 +331,21 @@ InterSeqStats sw_interseq_scan(const InterSeqProfile& profile, InterSeqWorkspace
       const std::optional<InterSeqRecord> got = fetch(l);
       if (!got) {
         ws.cur[l] = ws.end[l] = nullptr;
-        ws.thresh[l] = 1;
+        ws.peak[l] = Locate ? 0xFF : 0;
         ws.ovf[l] = 0;
         if (!initial) zero_column(l);
         live[l] = false;
         return false;
       }
-      if (got->codes.empty()) {
-        done(got->tag, got->codes, LocalScoreResult{});
-        continue;
-      }
+      if (complete_inline(*got)) continue;
       tag[l] = got->tag;
       rec[l] = got->codes;
       ws.cur[l] = got->codes.data();
       ws.end[l] = got->codes.data() + got->codes.size();
       ws.row[l] = 0;
-      ws.thresh[l] = 1;
+      ws.peak[l] = Locate ? static_cast<std::uint8_t>(got->score) : 0;
       ws.ovf[l] = 0;
-      ws.best[l] = LocalScoreResult{};
+      ws.cell[l] = Cell{};
       if (!initial) {
         zero_column(l);
         ++stats.refills;
@@ -338,22 +374,26 @@ InterSeqStats sw_interseq_scan(const InterSeqProfile& profile, InterSeqWorkspace
     ++stats.occupancy[live_count];
 #if SWR_INTERSEQ_X86
     if (L == 32) {
-      advance_avx2(profile, ws, steps);
+      advance_avx2<Locate>(profile, ws, steps);
     } else {
-      advance_sse41(profile, ws, steps);
+      advance_sse41<Locate>(profile, ws, steps);
     }
 #else
     (void)steps;  // unreachable: the guard above threw
 #endif
     for (unsigned l = 0; l < L; ++l) {
       if (live[l] && ws.cur[l] == ws.end[l]) {
-        std::optional<LocalScoreResult> result;
-        if (ws.ovf[l] == 0) {
-          result = ws.best[l];
+        if constexpr (Locate) {
+          done(tag[l], ws.cell[l]);
         } else {
-          ++stats.fallbacks;  // true score > 255: caller re-runs one tier down
+          std::optional<Score> score;
+          if (ws.ovf[l] == 0) {
+            score = ws.peak[l];
+          } else {
+            ++stats.fallbacks;  // true score > 255: caller re-runs one tier down
+          }
+          done(tag[l], rec[l], score);
         }
-        done(tag[l], rec[l], result);
         if (!refill(l, /*initial=*/false)) --live_count;
       }
     }
@@ -361,18 +401,35 @@ InterSeqStats sw_interseq_scan(const InterSeqProfile& profile, InterSeqWorkspace
   return stats;
 }
 
-std::optional<std::vector<std::optional<LocalScoreResult>>> sw_interseq_batch(
-    const std::vector<seq::Sequence>& records, const seq::Sequence& query, const Scoring& sc,
-    unsigned lanes8, InterSeqStats* stats) {
+void check_alphabets(const std::vector<seq::Sequence>& records, const seq::Sequence& query,
+                     const char* what) {
   for (const seq::Sequence& r : records) {
     if (r.alphabet().id() != query.alphabet().id()) {
-      throw std::invalid_argument("sw_interseq_batch: alphabet mismatch");
+      throw std::invalid_argument(std::string(what) + ": alphabet mismatch");
     }
   }
+}
+
+}  // namespace
+
+InterSeqStats sw_interseq_scan(const InterSeqProfile& profile, InterSeqWorkspace& ws,
+                               const InterSeqFetch& fetch, const InterSeqDone& done) {
+  return drive<false>(profile, ws, fetch, done);
+}
+
+InterSeqStats sw_interseq_locate(const InterSeqProfile& profile, InterSeqWorkspace& ws,
+                                 const InterSeqFetch& fetch, const InterSeqLocated& located) {
+  return drive<true>(profile, ws, fetch, located);
+}
+
+std::optional<std::vector<std::optional<Score>>> sw_interseq_batch(
+    const std::vector<seq::Sequence>& records, const seq::Sequence& query, const Scoring& sc,
+    unsigned lanes8, InterSeqStats* stats) {
+  check_alphabets(records, query, "sw_interseq_batch");
   const InterSeqProfile profile(query, sc, lanes8);
   if (!profile.usable() || sw_interseq_max_lanes() < lanes8) return std::nullopt;
 
-  std::vector<std::optional<LocalScoreResult>> out(records.size());
+  std::vector<std::optional<Score>> out(records.size());
   InterSeqWorkspace ws;
   std::size_t next = 0;
   const InterSeqStats st = sw_interseq_scan(
@@ -382,10 +439,34 @@ std::optional<std::vector<std::optional<LocalScoreResult>>> sw_interseq_batch(
         const std::size_t r = next++;
         return InterSeqRecord{static_cast<std::uint64_t>(r), records[r].codes()};
       },
-      [&](std::uint64_t done_tag, std::span<const seq::Code>,
-          const std::optional<LocalScoreResult>& result) {
-        out[static_cast<std::size_t>(done_tag)] = result;
+      [&](std::uint64_t done_tag, std::span<const seq::Code>, std::optional<Score> score) {
+        out[static_cast<std::size_t>(done_tag)] = score;
       });
+  if (stats != nullptr) *stats = st;
+  return out;
+}
+
+std::optional<std::vector<Cell>> sw_interseq_locate_batch(
+    const std::vector<seq::Sequence>& records, const seq::Sequence& query, const Scoring& sc,
+    unsigned lanes8, std::span<const Score> scores, InterSeqStats* stats) {
+  check_alphabets(records, query, "sw_interseq_locate_batch");
+  if (scores.size() != records.size()) {
+    throw std::invalid_argument("sw_interseq_locate_batch: one score per record required");
+  }
+  const InterSeqProfile profile(query, sc, lanes8);
+  if (!profile.usable() || sw_interseq_max_lanes() < lanes8) return std::nullopt;
+
+  std::vector<Cell> out(records.size());
+  InterSeqWorkspace ws;
+  std::size_t next = 0;
+  const InterSeqStats st = sw_interseq_locate(
+      profile, ws,
+      [&](unsigned) -> std::optional<InterSeqRecord> {
+        if (next >= records.size()) return std::nullopt;
+        const std::size_t r = next++;
+        return InterSeqRecord{static_cast<std::uint64_t>(r), records[r].codes(), scores[r]};
+      },
+      [&](std::uint64_t done_tag, Cell end) { out[static_cast<std::size_t>(done_tag)] = end; });
   if (stats != nullptr) *stats = st;
   return out;
 }

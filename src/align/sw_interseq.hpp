@@ -34,9 +34,15 @@
 //     striped kernels — so the caller re-runs exactly those records one
 //     tier down and `swar8_fallbacks` stays bit-identical across every
 //     kernel shape and policy;
-//   * per-lane best tracking reproduces sw_linear's canonical
-//     (j, i)-lexicographic tie-break via the same rare-threshold-triggered
-//     scalar row rescan the striped kernels use, per lane.
+//   * the scan is score-only: each lane folds every cell into a running
+//     max vector and reports the best score, never a cell. The canonical
+//     end cell — sw_linear's (j, i)-lexicographic tie-break — comes from
+//     the Locate instantiation of the same kernel body
+//     (sw_interseq_locate), seeded with each record's known score: it
+//     rescans a lane's row only when the row max EQUALS that score, so
+//     callers pay for coordinates on the records they report, not on
+//     every record they scan (paper §2.3: score and end cell first,
+//     alignment later — here one level further down).
 //
 // Availability mirrors sw_striped: compiled on x86 GCC/Clang only
 // (per-function target attributes; the binary stays portable), guarded by
@@ -135,13 +141,16 @@ inline constexpr unsigned kInterSeqMaxLanes = 32;
 /// allocation.
 struct InterSeqWorkspace {
   std::vector<std::uint8_t> h;  ///< (n+1) * lanes, column-major: h[j*L + l]
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> codes{};   ///< per-step gather
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> thresh{};  ///< rescan trigger floor
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> ovf{};     ///< sticky overflow flags
+  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> codes{};  ///< per-step gather
+  /// Scan: each lane's running max over its record so far. Locate: each
+  /// lane's known final score — the value a row max must equal before
+  /// that lane's row is rescanned.
+  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> peak{};
+  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> ovf{};  ///< sticky overflow flags
   std::array<const seq::Code*, kInterSeqMaxLanes> cur{};  ///< next residue (null = dead lane)
   std::array<const seq::Code*, kInterSeqMaxLanes> end{};
   std::array<std::uint64_t, kInterSeqMaxLanes> row{};  ///< record rows computed so far
-  std::array<LocalScoreResult, kInterSeqMaxLanes> best{};
+  std::array<Cell, kInterSeqMaxLanes> cell{};  ///< Locate: canonical end cell found so far
 };
 
 /// Scan statistics the driver accumulates (host/scan_engine flushes them
@@ -156,30 +165,51 @@ struct InterSeqStats {
 
 /// A record handed to the driver: `tag` is echoed back through the done
 /// callback; `codes` must stay valid until that done call returns.
+/// `score` is read by sw_interseq_locate only: the record's known best
+/// score (0..255), e.g. what sw_interseq_scan reported for it.
 struct InterSeqRecord {
   std::uint64_t tag = 0;
   std::span<const seq::Code> codes;
+  Score score = 0;
 };
 
 /// Pull the next record for `lane`, or nullopt when the input is drained.
 using InterSeqFetch = std::function<std::optional<InterSeqRecord>(unsigned lane)>;
 
-/// A record finished: `result` is the exact sw_linear(record, query)
-/// outcome, or nullopt when the lane saturated (true score > 255) and the
-/// caller must re-run the record one precision tier down.
-using InterSeqDone =
-    std::function<void(std::uint64_t tag, std::span<const seq::Code> codes,
-                       const std::optional<LocalScoreResult>& result)>;
+/// A record finished: `score` is the exact sw_linear(record, query) best
+/// score, or nullopt when the lane saturated (true score > 255) and the
+/// caller must re-run the record one precision tier down. No end cell:
+/// the scan is score-only (sw_interseq_locate finds cells).
+using InterSeqDone = std::function<void(std::uint64_t tag, std::span<const seq::Code> codes,
+                                        std::optional<Score> score)>;
+
+/// A record located: `end` is sw_linear's canonical end cell for the
+/// record's seeded score. Cell{} for a score of 0 — and for a seeded score
+/// no cell of the record reaches, which callers treat as a broken
+/// precondition.
+using InterSeqLocated = std::function<void(std::uint64_t tag, Cell end)>;
 
 /// Streams records through the lane batch until `fetch` drains: fills all
 /// lanes, advances every live lane min-remaining-rows per kernel call, and
 /// refills a lane the moment its record retires. Empty records complete
-/// immediately (LocalScoreResult{}) without occupying a lane step; an
-/// empty query completes every record the same way.
+/// immediately (score 0) without occupying a lane step; an empty query
+/// completes every record the same way.
 /// @throws std::logic_error when the profile is unusable or the required
 /// ISA is unavailable — callers must check usable() + sw_interseq_max_lanes().
 InterSeqStats sw_interseq_scan(const InterSeqProfile& profile, InterSeqWorkspace& ws,
                                const InterSeqFetch& fetch, const InterSeqDone& done);
+
+/// The Locate instantiation of the same driver and kernel body: every
+/// fetched record carries its known best score, and a lane's row is
+/// rescanned (columns left of the best cell found so far) only when the
+/// row max equals that score. Records scoring 0 complete immediately at
+/// Cell{} without occupying a lane. Same lane batching, refill and
+/// statistics as sw_interseq_scan (fallbacks stay 0: a score that fits a
+/// byte cannot saturate).
+/// @throws std::logic_error as sw_interseq_scan; std::invalid_argument on
+/// a seeded score outside 0..255.
+InterSeqStats sw_interseq_locate(const InterSeqProfile& profile, InterSeqWorkspace& ws,
+                                 const InterSeqFetch& fetch, const InterSeqLocated& located);
 
 /// Convenience for tests and one-off callers: scores every record in
 /// order. Outer nullopt when the kernel is unavailable at `lanes8` on this
@@ -188,8 +218,17 @@ InterSeqStats sw_interseq_scan(const InterSeqProfile& profile, InterSeqWorkspace
 /// fallback tier owns those). `stats`, when non-null, receives the
 /// driver's batching statistics.
 /// @throws std::invalid_argument on alphabet mismatch / invalid scoring.
-std::optional<std::vector<std::optional<LocalScoreResult>>> sw_interseq_batch(
+std::optional<std::vector<std::optional<Score>>> sw_interseq_batch(
     const std::vector<seq::Sequence>& records, const seq::Sequence& query, const Scoring& sc,
     unsigned lanes8, InterSeqStats* stats = nullptr);
+
+/// Convenience locate pass: the canonical end cell of every record, given
+/// its exact best score `scores[r]` (0..255 — e.g. sw_interseq_batch's
+/// output). Outer nullopt under the same conditions as sw_interseq_batch.
+/// @throws std::invalid_argument on alphabet mismatch, invalid scoring, a
+/// size mismatch between records and scores, or a score outside 0..255.
+std::optional<std::vector<Cell>> sw_interseq_locate_batch(
+    const std::vector<seq::Sequence>& records, const seq::Sequence& query, const Scoring& sc,
+    unsigned lanes8, std::span<const Score> scores, InterSeqStats* stats = nullptr);
 
 }  // namespace swr::align

@@ -1,8 +1,11 @@
 #include "align/sw_striped.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <iterator>
 #include <stdexcept>
 
+#include "align/sw_interseq.hpp"
 #include "align/sw_linear.hpp"
 
 // The kernels use per-function target attributes so this translation unit
@@ -101,27 +104,36 @@ StripedProfile::StripedProfile(std::span<const seq::Code> query, const Scoring& 
 
 namespace {
 
+// Horizontal max of a kernel's running max vector, once per record. Taken
+// by reference: the vector stays in memory, so no wide register crosses
+// into this untargeted function.
+template <class Lane, class Vec>
+Score lane_max(const Vec& v) {
+  Lane lanes[sizeof(Vec) / sizeof(Lane)];
+  std::memcpy(lanes, &v, sizeof v);
+  return static_cast<Score>(*std::max_element(std::begin(lanes), std::end(lanes)));
+}
+
 // --- SSE4.1, 16 x 8-bit lanes ---------------------------------------------
 
 // One row of the striped recurrence per database residue. Saturation is
 // detected exactly by xor-ing each saturating add against its wrapping
 // twin (they differ iff the true sum exceeded the lane), accumulated per
 // row and checked once — a clamped 255 is discarded before it can
-// propagate into a returned result. The best cell is tracked as in
-// sw_linear_profiled: a vector row-max against a broadcast threshold
-// triggers a rare scalar rescan in query order, which reproduces the
-// canonical (j, i)-lexicographic tie-break bit-for-bit.
-__attribute__((target("sse4.1"))) std::optional<LocalScoreResult> striped8_sse41(
+// propagate into a returned result. The kernels are score-only: every
+// stored cell (lazy-F fixups included) folds into one running max vector,
+// reduced once per record. The canonical end cell is located later, and
+// only for the records a scan reports (sw_interseq_locate, or the scalar
+// profile kernel above 255).
+__attribute__((target("sse4.1"))) std::optional<Score> striped8_sse41(
     std::span<const seq::Code> rec, const StripedProfile& p, StripedWorkspace& ws) {
   constexpr unsigned V = 16;
   const std::size_t m = rec.size();
-  const std::size_t n = p.query_len();
   const std::size_t t = p.stripes8();
-  LocalScoreResult best;
   ws.h8.assign(t * V, 0);
   std::uint8_t* H = ws.h8.data();
   const __m128i vGap = _mm_set1_epi8(static_cast<char>(p.gap8()));
-  std::uint8_t thresh = 1;
+  __m128i vMax = _mm_setzero_si128();  // running max over every cell so far
 
   for (std::size_t i = 1; i <= m; ++i) {
     const std::uint8_t* pos = p.pos8(rec[i - 1]);
@@ -132,7 +144,6 @@ __attribute__((target("sse4.1"))) std::optional<LocalScoreResult> striped8_sse41
     __m128i vDiag =
         _mm_slli_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(H + (t - 1) * V)), 1);
     __m128i vF = _mm_setzero_si128();
-    __m128i vMax = _mm_setzero_si128();
     __m128i vOvf = _mm_setzero_si128();
 
     for (std::size_t s = 0; s < t; ++s) {
@@ -171,30 +182,21 @@ __attribute__((target("sse4.1"))) std::optional<LocalScoreResult> striped8_sse41
 
     if (!_mm_testz_si128(vOvf, vOvf)) return std::nullopt;  // true cell > 255 somewhere
 
-    const __m128i vTh = _mm_set1_epi8(static_cast<char>(thresh));
-    if (_mm_movemask_epi8(_mm_cmpeq_epi8(_mm_max_epu8(vMax, vTh), vMax)) != 0) {
-      for (std::size_t j = 0; j < n; ++j) {
-        fold_best(best, static_cast<Score>(H[(j % t) * V + j / t]), Cell{i, j + 1});
-      }
-      thresh = static_cast<std::uint8_t>(best.score > 0 ? best.score : 1);
-    }
   }
-  return best;
+  return lane_max<std::uint8_t>(vMax);
 }
 
 // --- SSE4.1, 8 x 16-bit lanes (lazy re-run tier) --------------------------
 
-__attribute__((target("sse4.1"))) std::optional<LocalScoreResult> striped16_sse41(
+__attribute__((target("sse4.1"))) std::optional<Score> striped16_sse41(
     std::span<const seq::Code> rec, const StripedProfile& p, StripedWorkspace& ws) {
   constexpr unsigned V = 8;
   const std::size_t m = rec.size();
-  const std::size_t n = p.query_len();
   const std::size_t t = p.stripes16();
-  LocalScoreResult best;
   ws.h16.assign(t * V, 0);
   std::uint16_t* H = ws.h16.data();
   const __m128i vGap = _mm_set1_epi16(static_cast<short>(p.gap16()));
-  std::uint16_t thresh = 1;
+  __m128i vMax = _mm_setzero_si128();  // running max over every cell so far
 
   for (std::size_t i = 1; i <= m; ++i) {
     const std::uint16_t* pos = p.pos16(rec[i - 1]);
@@ -202,7 +204,6 @@ __attribute__((target("sse4.1"))) std::optional<LocalScoreResult> striped16_sse4
     __m128i vDiag =
         _mm_slli_si128(_mm_loadu_si128(reinterpret_cast<const __m128i*>(H + (t - 1) * V)), 2);
     __m128i vF = _mm_setzero_si128();
-    __m128i vMax = _mm_setzero_si128();
     __m128i vOvf = _mm_setzero_si128();
 
     for (std::size_t s = 0; s < t; ++s) {
@@ -239,15 +240,8 @@ __attribute__((target("sse4.1"))) std::optional<LocalScoreResult> striped16_sse4
 
     if (!_mm_testz_si128(vOvf, vOvf)) return std::nullopt;  // true cell > 65535
 
-    const __m128i vTh = _mm_set1_epi16(static_cast<short>(thresh));
-    if (_mm_movemask_epi8(_mm_cmpeq_epi16(_mm_max_epu16(vMax, vTh), vMax)) != 0) {
-      for (std::size_t j = 0; j < n; ++j) {
-        fold_best(best, static_cast<Score>(H[(j % t) * V + j / t]), Cell{i, j + 1});
-      }
-      thresh = static_cast<std::uint16_t>(best.score > 0 ? best.score : 1);
-    }
   }
-  return best;
+  return lane_max<std::uint16_t>(vMax);
 }
 
 // --- AVX2 helpers: byte shifts across the 128-bit lane boundary -----------
@@ -267,17 +261,15 @@ __attribute__((target("avx2"))) inline __m256i shl_word_256(__m256i v) {
 
 // --- AVX2, 32 x 8-bit lanes -----------------------------------------------
 
-__attribute__((target("avx2"))) std::optional<LocalScoreResult> striped8_avx2(
+__attribute__((target("avx2"))) std::optional<Score> striped8_avx2(
     std::span<const seq::Code> rec, const StripedProfile& p, StripedWorkspace& ws) {
   constexpr unsigned V = 32;
   const std::size_t m = rec.size();
-  const std::size_t n = p.query_len();
   const std::size_t t = p.stripes8();
-  LocalScoreResult best;
   ws.h8.assign(t * V, 0);
   std::uint8_t* H = ws.h8.data();
   const __m256i vGap = _mm256_set1_epi8(static_cast<char>(p.gap8()));
-  std::uint8_t thresh = 1;
+  __m256i vMax = _mm256_setzero_si256();  // running max over every cell so far
 
   for (std::size_t i = 1; i <= m; ++i) {
     const std::uint8_t* pos = p.pos8(rec[i - 1]);
@@ -285,7 +277,6 @@ __attribute__((target("avx2"))) std::optional<LocalScoreResult> striped8_avx2(
     __m256i vDiag =
         shl_byte_256(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(H + (t - 1) * V)));
     __m256i vF = _mm256_setzero_si256();
-    __m256i vMax = _mm256_setzero_si256();
     __m256i vOvf = _mm256_setzero_si256();
 
     for (std::size_t s = 0; s < t; ++s) {
@@ -324,30 +315,21 @@ __attribute__((target("avx2"))) std::optional<LocalScoreResult> striped8_avx2(
 
     if (!_mm256_testz_si256(vOvf, vOvf)) return std::nullopt;
 
-    const __m256i vTh = _mm256_set1_epi8(static_cast<char>(thresh));
-    if (_mm256_movemask_epi8(_mm256_cmpeq_epi8(_mm256_max_epu8(vMax, vTh), vMax)) != 0) {
-      for (std::size_t j = 0; j < n; ++j) {
-        fold_best(best, static_cast<Score>(H[(j % t) * V + j / t]), Cell{i, j + 1});
-      }
-      thresh = static_cast<std::uint8_t>(best.score > 0 ? best.score : 1);
-    }
   }
-  return best;
+  return lane_max<std::uint8_t>(vMax);
 }
 
 // --- AVX2, 16 x 16-bit lanes ----------------------------------------------
 
-__attribute__((target("avx2"))) std::optional<LocalScoreResult> striped16_avx2(
+__attribute__((target("avx2"))) std::optional<Score> striped16_avx2(
     std::span<const seq::Code> rec, const StripedProfile& p, StripedWorkspace& ws) {
   constexpr unsigned V = 16;
   const std::size_t m = rec.size();
-  const std::size_t n = p.query_len();
   const std::size_t t = p.stripes16();
-  LocalScoreResult best;
   ws.h16.assign(t * V, 0);
   std::uint16_t* H = ws.h16.data();
   const __m256i vGap = _mm256_set1_epi16(static_cast<short>(p.gap16()));
-  std::uint16_t thresh = 1;
+  __m256i vMax = _mm256_setzero_si256();  // running max over every cell so far
 
   for (std::size_t i = 1; i <= m; ++i) {
     const std::uint16_t* pos = p.pos16(rec[i - 1]);
@@ -355,7 +337,6 @@ __attribute__((target("avx2"))) std::optional<LocalScoreResult> striped16_avx2(
     __m256i vDiag =
         shl_word_256(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(H + (t - 1) * V)));
     __m256i vF = _mm256_setzero_si256();
-    __m256i vMax = _mm256_setzero_si256();
     __m256i vOvf = _mm256_setzero_si256();
 
     for (std::size_t s = 0; s < t; ++s) {
@@ -394,15 +375,8 @@ __attribute__((target("avx2"))) std::optional<LocalScoreResult> striped16_avx2(
 
     if (!_mm256_testz_si256(vOvf, vOvf)) return std::nullopt;
 
-    const __m256i vTh = _mm256_set1_epi16(static_cast<short>(thresh));
-    if (_mm256_movemask_epi8(_mm256_cmpeq_epi16(_mm256_max_epu16(vMax, vTh), vMax)) != 0) {
-      for (std::size_t j = 0; j < n; ++j) {
-        fold_best(best, static_cast<Score>(H[(j % t) * V + j / t]), Cell{i, j + 1});
-      }
-      thresh = static_cast<std::uint16_t>(best.score > 0 ? best.score : 1);
-    }
   }
-  return best;
+  return lane_max<std::uint16_t>(vMax);
 }
 
 bool runtime_supports(unsigned lanes8) {
@@ -414,7 +388,7 @@ bool runtime_supports(unsigned lanes8) {
 
 #endif  // SWR_STRIPED_X86
 
-std::optional<LocalScoreResult> sw_striped8_try(std::span<const seq::Code> rec,
+std::optional<Score> sw_striped8_try(std::span<const seq::Code> rec,
                                                 const StripedProfile& profile,
                                                 StripedWorkspace& ws) {
 #if SWR_STRIPED_X86
@@ -422,7 +396,7 @@ std::optional<LocalScoreResult> sw_striped8_try(std::span<const seq::Code> rec,
   // the lanes is reported as overflow (the caller's fallback accounting
   // depends on the predicates matching); only then the trivial cases.
   if (!profile.fits8()) return std::nullopt;
-  if (rec.empty() || profile.query_len() == 0) return LocalScoreResult{};
+  if (rec.empty() || profile.query_len() == 0) return Score{0};
   if (!runtime_supports(profile.lanes8())) return std::nullopt;
   return profile.lanes8() == 32 ? striped8_avx2(rec, profile, ws)
                                 : striped8_sse41(rec, profile, ws);
@@ -434,12 +408,12 @@ std::optional<LocalScoreResult> sw_striped8_try(std::span<const seq::Code> rec,
 #endif
 }
 
-std::optional<LocalScoreResult> sw_striped16_try(std::span<const seq::Code> rec,
+std::optional<Score> sw_striped16_try(std::span<const seq::Code> rec,
                                                  const StripedProfile& profile,
                                                  StripedWorkspace& ws) {
 #if SWR_STRIPED_X86
   if (!profile.fits16()) return std::nullopt;
-  if (rec.empty() || profile.query_len() == 0) return LocalScoreResult{};
+  if (rec.empty() || profile.query_len() == 0) return Score{0};
   if (!runtime_supports(profile.lanes8())) return std::nullopt;
   return profile.lanes8() == 32 ? striped16_avx2(rec, profile, ws)
                                 : striped16_sse41(rec, profile, ws);
@@ -459,9 +433,19 @@ LocalScoreResult sw_linear_striped(const seq::Sequence& a, const seq::Sequence& 
   }
   const StripedProfile profile(b, sc, lanes8);
   StripedWorkspace ws;
-  if (const auto r = sw_striped8_try(a.codes(), profile, ws)) return *r;
-  if (fallbacks8 != nullptr) ++*fallbacks8;
-  if (const auto r = sw_striped16_try(a.codes(), profile, ws)) return *r;
+  std::optional<Score> score = sw_striped8_try(a.codes(), profile, ws);
+  if (!score) {
+    if (fallbacks8 != nullptr) ++*fallbacks8;
+    score = sw_striped16_try(a.codes(), profile, ws);
+  }
+  // The striped score seeds the locate pass when it fits a byte; the
+  // scalar kernel is the rung for everything else.
+  if (score && *score <= 0xFF) {
+    const Score one[] = {*score};
+    if (const auto cells = sw_interseq_locate_batch({a}, b, sc, lanes8, one)) {
+      return LocalScoreResult{*score, (*cells)[0]};
+    }
+  }
   return sw_linear(a, b, sc);
 }
 

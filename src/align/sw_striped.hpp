@@ -26,9 +26,11 @@
 //     kernel (same predicate: some true cell value > 255, or the scheme's
 //     magnitudes do not fit a lane), so `swar8_fallbacks` accounting and
 //     cross-engine bit-identity hold unchanged;
-//   * results are bit-identical to sw_linear (score + canonical cell
-//     under the (j, i)-lexicographic tie-break) whenever a value is
-//     returned. Tests enforce all of it.
+//   * the kernels are score-only: a returned value is exactly sw_linear's
+//     best score, and no end cell is tracked — the canonical cell is
+//     located afterwards, for reported hits only, by the inter-sequence
+//     Locate pass (align/sw_interseq.hpp) or the scalar profile kernel
+//     above 255. Tests enforce all of it.
 //
 // The profile (per-residue striped score rows) is built once per query
 // per lane width and reused for every record — the scan engine caches one
@@ -138,22 +140,25 @@ struct StripedWorkspace {
 
 /// 8-bit striped kernel over rec (rows) vs the profile's query (columns).
 /// Dispatches SSE4.1 / AVX2 on profile.lanes8(). Returns the exact
-/// sw_linear result, or nullopt when any lane saturated (some true cell
-/// value > 255), the scheme does not fit 8 bits, or the required ISA is
-/// unavailable — the caller should re-run one precision down.
-std::optional<LocalScoreResult> sw_striped8_try(std::span<const seq::Code> rec,
+/// sw_linear best score, or nullopt when any lane saturated (some true
+/// cell value > 255), the scheme does not fit 8 bits, or the required ISA
+/// is unavailable — the caller should re-run one precision down.
+std::optional<Score> sw_striped8_try(std::span<const seq::Code> rec,
                                                 const StripedProfile& profile,
                                                 StripedWorkspace& ws);
 
-/// 16-bit striped re-run for records that saturate the 8-bit lanes.
-/// nullopt when a true cell value exceeds 65535 (fall back to scalar),
-/// the scheme does not fit 16 bits, or the ISA is unavailable.
-std::optional<LocalScoreResult> sw_striped16_try(std::span<const seq::Code> rec,
+/// 16-bit striped re-run for records that saturate the 8-bit lanes: the
+/// exact best score, or nullopt when a true cell value exceeds 65535
+/// (fall back to scalar), the scheme does not fit 16 bits, or the ISA is
+/// unavailable.
+std::optional<Score> sw_striped16_try(std::span<const seq::Code> rec,
                                                  const StripedProfile& profile,
                                                  StripedWorkspace& ws);
 
 /// Convenience ladder for tests and one-off callers: striped 8-bit, then
-/// striped 16-bit, then exact scalar — always the sw_linear result.
+/// striped 16-bit, then exact scalar — always the sw_linear result. A
+/// striped score of 1..255 seeds the inter-sequence locate pass for the
+/// end cell; anything else takes the scalar kernel.
 /// `fallbacks8`, when non-null, is incremented once if the 8-bit pass
 /// saturated (the swar8_fallbacks accounting rule).
 /// @throws std::invalid_argument on alphabet mismatch / invalid scoring

@@ -425,16 +425,17 @@ int scan_batch(const ArgParser& args, const seq::Alphabet& ab, const align::Scor
   if (trace) {
     out << "-- trace spans (ms) " << std::string(53, '-') << "\n";
     char line[176];
-    std::snprintf(line, sizeof line, "%6s %-17s %6s %9s %9s %9s %9s %7s %8s %8s\n", "query",
-                  "status", "chunks", "admit", "window", "exec_cpu", "exec_brd", "merge",
-                  "trcback", "total");
+    std::snprintf(line, sizeof line, "%6s %-17s %6s %9s %9s %9s %9s %7s %8s %8s %8s\n",
+                  "query", "status", "chunks", "admit", "window", "exec_cpu", "exec_brd",
+                  "merge", "resolve", "trcback", "total");
     out << line;
     for (const obs::Span& s : trace->spans()) {
       std::snprintf(line, sizeof line,
-                    "%6llu %-17s %6u %9.2f %9.2f %9.2f %9.2f %7.2f %8.2f %8.2f\n",
+                    "%6llu %-17s %6u %9.2f %9.2f %9.2f %9.2f %7.2f %8.2f %8.2f %8.2f\n",
                     static_cast<unsigned long long>(s.query_id), s.status, s.chunks,
                     s.admission_wait * 1e3, s.dispatch_window * 1e3, s.exec_cpu * 1e3,
-                    s.exec_board * 1e3, s.merge * 1e3, s.traceback * 1e3, s.total * 1e3);
+                    s.exec_board * 1e3, s.merge * 1e3, s.resolve * 1e3, s.traceback * 1e3,
+                    s.total * 1e3);
       out << line;
     }
     const auto slow = trace->slow();

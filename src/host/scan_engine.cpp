@@ -150,6 +150,7 @@ struct ScanMetrics {
   obs::Counter* simd_rec_striped8 = nullptr;
   obs::Counter* simd_rec_striped16 = nullptr;
   obs::Counter* decode_reuse = nullptr;
+  obs::Counter* coords_resolved = nullptr;
   // Interseq-shape handles, fetched only when that shape resolved so a
   // striped scan never pays the extra registry lookups.
   obs::Counter* interseq_batches = nullptr;
@@ -203,6 +204,7 @@ struct ScanMetrics {
     simd_rec_striped8 = &reg->counter("scan.simd.records.striped8");
     simd_rec_striped16 = &reg->counter("scan.simd.records.striped16");
     decode_reuse = &reg->counter("scan.db.decode_reuse");
+    coords_resolved = &reg->counter("scan.coords.resolved");
     if (shape == KernelShape::InterSeq) {
       interseq_batches = &reg->counter("scan.interseq.batches");
       interseq_refills = &reg->counter("scan.interseq.refills");
@@ -213,6 +215,65 @@ struct ScanMetrics {
     worker_kernel_us = &reg->histogram("scan.worker_kernel_us");
   }
 };
+
+// Scratch for locating end cells: its own inter-sequence workspace and
+// per-lane decode buffers, so a worker can locate DUST candidates from
+// inside its running score pass without touching that pass's lanes.
+struct LocateScratch {
+  align::InterSeqWorkspace ws;
+  std::vector<std::vector<seq::Code>> lane_decode;
+  std::vector<seq::Code> decode;
+  std::vector<align::Score> row;
+};
+
+// Locates the canonical end cell of every unlocated hit. Scores
+// of 1..255 ride one lane-batched inter-sequence Locate pass seeded with
+// each hit's score; above that, or without a usable inter-seq profile,
+// the scalar profile kernel is the rung. A cell the pass cannot find, or a
+// scalar score that disagrees, means the scan and locate kernels diverged.
+// Returns the number of hits located.
+std::uint64_t locate_unset(const ProfileBundle& bundle, const RecordSource& src,
+                           std::span<Hit> hits, LocateScratch& s) {
+  const align::InterSeqProfile* ip =
+      bundle.interseq.has_value() && bundle.interseq->usable() ? &*bundle.interseq : nullptr;
+  std::vector<std::size_t> in_lanes;
+  std::uint64_t located = 0;
+  for (std::size_t k = 0; k < hits.size(); ++k) {
+    Hit& h = hits[k];
+    if (!unlocated(h)) continue;
+    ++located;
+    if (ip != nullptr && h.result.score <= 0xFF) {
+      in_lanes.push_back(k);
+      continue;
+    }
+    const align::LocalScoreResult r =
+        align::sw_linear_profiled(src.codes(h.record, s.decode), bundle.profile, s.row);
+    if (r.score != h.result.score) {
+      throw std::logic_error("locate: scalar rescore of record " + std::to_string(h.record) +
+                             " diverged from its scan score");
+    }
+    h.result.end = r.end;
+  }
+  if (in_lanes.empty()) return located;
+  if (s.lane_decode.size() < ip->lanes8()) s.lane_decode.resize(ip->lanes8());
+  std::size_t next = 0;
+  align::sw_interseq_locate(
+      *ip, s.ws,
+      [&](unsigned lane) -> std::optional<align::InterSeqRecord> {
+        if (next >= in_lanes.size()) return std::nullopt;
+        const std::size_t k = in_lanes[next++];
+        return align::InterSeqRecord{k, src.codes(hits[k].record, s.lane_decode[lane]),
+                                     hits[k].result.score};
+      },
+      [&](std::uint64_t k, align::Cell end) {
+        if (end == align::Cell{}) {
+          throw std::logic_error("locate: no cell of record " +
+                                 std::to_string(hits[k].record) + " reaches its scan score");
+        }
+        hits[k].result.end = end;
+      });
+  return located;
+}
 
 // Everything one worker owns: kernel scratch and its private top-k, plus
 // a read-only view of the scan's shared ProfileBundle. Built once per
@@ -244,6 +305,11 @@ struct Worker {
   align::InterSeqWorkspace iws;
   align::InterSeqStats istats;
   std::vector<Hit> hits;  // sorted by hit_ranks_before, size <= top_k
+  // DUST reads the end cell: candidates wait here to be located in one
+  // batch before the test (flush_dust).
+  std::vector<Hit> pending;
+  LocateScratch loc;
+  std::uint64_t located = 0;  // DUST candidates located (scan.coords.resolved)
   std::uint64_t cell_updates = 0;
   std::uint64_t swar8_fallbacks = 0;
   // Records resolved by each kernel tier (scan.simd.records.* metrics).
@@ -391,14 +457,16 @@ align::LocalScoreResult score_record(std::span<const seq::Code> rec,
       // swar8_fallbacks accounting is policy-independent; the 16-bit
       // striped re-run covers them, and the scalar profile kernel is the
       // final rung (true cell > 65535, or a scheme too big for a lane).
+      // The striped kernels are score-only: the end cell stays unset
+      // until the hit is located.
       if (const auto r = align::sw_striped8_try(rec, *w.striped, w.sws)) {
         ++w.rec_striped8;
-        return *r;
+        return align::LocalScoreResult{*r, {}};
       }
       ++w.swar8_fallbacks;
       if (const auto r = align::sw_striped16_try(rec, *w.striped, w.sws)) {
         ++w.rec_striped16;
-        return *r;
+        return align::LocalScoreResult{*r, {}};
       }
       ++w.rec_scalar;
       return align::sw_linear_profiled(rec, *w.profile, w.row);
@@ -412,13 +480,38 @@ void insert_top_k(std::vector<Hit>& hits, Hit hit, std::size_t top_k) {
   retrieve::topk_insert(hits, std::move(hit), top_k, hit_ranks_before);
 }
 
-// DUST check materializing record `r` through the worker's reusable
-// Sequence buffer. Safe even when the caller's record span aliases
-// w.decode (same record, same bytes, and the span is dead afterwards).
-bool dust_suppressed_at(const RecordSource& src, std::size_t r, const align::Cell& end,
-                        const ScanOptions& opt, Worker& w) {
-  if (src.sequence_into(r, w.seq_buf, w.decode)) ++w.decode_reused;
-  return dust_suppressed(w.seq_buf, end, opt);
+// Every record the worker scores goes through admit(): below min_score it
+// is dropped; otherwise it enters the top-k, end cell unset when a
+// score-only kernel produced it. With DUST on, the filter reads the end
+// cell, so a candidate that could still enter the top-k is buffered and
+// the buffer is located in one batch before the test.
+constexpr std::size_t kDustBatch = 64;
+
+void flush_dust(const RecordSource& src, const ScanOptions& opt, Worker& w) {
+  w.located += locate_unset(*w.bundle, src, w.pending, w.loc);
+  for (Hit& hit : w.pending) {
+    // Materialized through the worker's reusable Sequence buffer.
+    if (src.sequence_into(hit.record, w.seq_buf, w.decode)) ++w.decode_reused;
+    if (!dust_suppressed(w.seq_buf, hit.result.end, opt)) {
+      insert_top_k(w.hits, std::move(hit), opt.top_k);
+    }
+  }
+  w.pending.clear();
+}
+
+void admit(const RecordSource& src, std::size_t r, const align::LocalScoreResult& best,
+           const ScanOptions& opt, Worker& w) {
+  if (best.score < opt.min_score) return;
+  Hit hit;
+  hit.record = r;
+  hit.result = best;
+  if (!opt.dust_filter) {
+    insert_top_k(w.hits, std::move(hit), opt.top_k);
+    return;
+  }
+  if (w.hits.size() == opt.top_k && !hit_ranks_before(hit, w.hits.back())) return;
+  w.pending.push_back(std::move(hit));
+  if (w.pending.size() >= kDustBatch) flush_dust(src, opt, w);
 }
 
 // Scores one record and folds any hit into the worker's top-k — shared by
@@ -429,13 +522,7 @@ void scan_one(const RecordSource& src, std::size_t r, std::span<const seq::Code>
   const std::span<const seq::Code> rec = src.codes(r, w.decode);
   if (rec.empty()) return;
   w.cell_updates += static_cast<std::uint64_t>(rec.size()) * qcodes.size();
-  const align::LocalScoreResult best = score_record(rec, qcodes, sc, policy, w);
-  if (best.score < opt.min_score) return;
-  if (opt.dust_filter && dust_suppressed_at(src, r, best.end, opt, w)) return;
-  Hit hit;
-  hit.record = r;
-  hit.result = best;
-  insert_top_k(w.hits, std::move(hit), opt.top_k);
+  admit(src, r, score_record(rec, qcodes, sc, policy, w), opt, w);
 }
 
 // One worker's inter-sequence scan: `next_record` streams record ids (the
@@ -461,13 +548,13 @@ void scan_interseq(const RecordSource& src, const align::InterSeqProfile& prof,
     }
   };
   const auto done = [&](std::uint64_t tag, std::span<const seq::Code> rec,
-                        const std::optional<align::LocalScoreResult>& in_lane) {
+                        std::optional<align::Score> in_lane) {
     const std::size_t r = static_cast<std::size_t>(tag);
     w.cell_updates += static_cast<std::uint64_t>(rec.size()) * qcodes.size();
-    align::LocalScoreResult best;
+    align::LocalScoreResult best;  // score-only: the end cell stays unset
     if (in_lane.has_value()) {
       ++w.rec_interseq;
-      best = *in_lane;
+      best.score = *in_lane;
     } else {
       // The lane saturated — identical predicate to the striped/SWAR
       // 8-bit kernels ("some true cell > 255"), so this is the same lazy
@@ -475,18 +562,13 @@ void scan_interseq(const RecordSource& src, const align::InterSeqProfile& prof,
       ++w.swar8_fallbacks;
       if (const auto rr = align::sw_striped16_try(rec, *w.striped, w.sws)) {
         ++w.rec_striped16;
-        best = *rr;
+        best.score = *rr;
       } else {
         ++w.rec_scalar;
         best = align::sw_linear_profiled(rec, *w.profile, w.row);
       }
     }
-    if (best.score < opt.min_score) return;
-    if (opt.dust_filter && dust_suppressed_at(src, r, best.end, opt, w)) return;
-    Hit hit;
-    hit.record = r;
-    hit.result = best;
-    insert_top_k(w.hits, std::move(hit), opt.top_k);
+    admit(src, r, best, opt, w);
   };
   const align::InterSeqStats st = align::sw_interseq_scan(prof, w.iws, fetch, done);
   w.istats.batches += st.batches;
@@ -515,8 +597,10 @@ void merge_workers(std::vector<Worker>& workers, std::size_t top_k, ScanResult& 
 // record. Counter adds of zero are skipped so a scalar-policy scan never
 // touches the striped counters' cache lines.
 void flush_scan_metrics(const ScanMetrics& metrics, const std::vector<Worker>& workers,
-                        const ScanResult& out) {
+                        const ScanResult& out, std::uint64_t located) {
   if (metrics.scans == nullptr) return;
+  for (const Worker& w : workers) located += w.located;
+  if (located != 0) metrics.coords_resolved->add(located);
   metrics.scans->add(1);
   metrics.records->add(out.records_scanned);
   metrics.cells->add(out.cell_updates);
@@ -657,7 +741,7 @@ ScanResult scan_source_cpu(const seq::Sequence& query, const RecordSource& src,
     // scan.filter.* counters reconcile with ScanResult.
     const ScanMetrics metrics(opt.metrics, policy, plan.shape, seeded, false);
     const std::vector<Worker> none;
-    flush_scan_metrics(metrics, none, out);
+    flush_scan_metrics(metrics, none, out, 0);
     return out;
   }
 
@@ -798,6 +882,7 @@ ScanResult scan_source_cpu(const seq::Sequence& query, const RecordSource& src,
         }
       }
     }
+    if (!w.pending.empty()) flush_dust(src, opt, w);
     if (metrics.worker_kernel_us != nullptr) {
       metrics.worker_kernel_us->observe_seconds(
           std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
@@ -841,26 +926,21 @@ ScanResult scan_source_cpu(const seq::Sequence& query, const RecordSource& src,
   }
 
   merge_workers(workers, opt.top_k, out);
-  flush_scan_metrics(metrics, workers, out);
+  // The top-k is final, so only its hits pay for end cells: located once,
+  // here, and the cell never changes the ranking (hit_ranks_before reads
+  // it only when score and record both tie).
+  LocateScratch loc;
+  const std::uint64_t located = locate_unset(*bundle, src, out.hits, loc);
+  flush_scan_metrics(metrics, workers, out, located);
   retrieve_alignments(query, src, sc, opt, out);
   return out;
 }
 
-}  // namespace
-
-ScanResult scan_database_cpu(const seq::Sequence& query, const std::vector<seq::Sequence>& records,
-                             const align::Scoring& sc, const ScanOptions& opt) {
-  return scan_source_cpu(query, RecordSource(records), sc, opt);
-}
-
-ScanResult scan_database_cpu(const seq::Sequence& query, const db::Store& store,
-                             const align::Scoring& sc, const ScanOptions& opt) {
-  return scan_source_cpu(query, RecordSource(store), sc, opt);
-}
-
-ScanResult scan_records_cpu(const seq::Sequence& query, const RecordSource& src,
-                            std::span<const std::uint32_t> record_ids, const align::Scoring& sc,
-                            const ScanOptions& opt) {
+// The id-list chunk scan. `locate` off leaves the score-only kernels' end
+// cells unset — ScanService merges its chunks and locates once per query.
+ScanResult scan_records(const seq::Sequence& query, const RecordSource& src,
+                        std::span<const std::uint32_t> record_ids, const align::Scoring& sc,
+                        const ScanOptions& opt, bool locate) {
   opt.validate();
   sc.validate();
   src.check_alphabet(query, "scan_records_cpu");
@@ -920,14 +1000,56 @@ ScanResult scan_records_cpu(const seq::Sequence& query, const RecordSource& src,
       scan_one(src, r, qcodes, sc, opt, policy, workers[0]);
     }
   }
+  if (!workers[0].pending.empty()) flush_dust(src, opt, workers[0]);
   if (metrics.worker_kernel_us != nullptr) {
     metrics.worker_kernel_us->observe_seconds(
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
   }
   merge_workers(workers, opt.top_k, out);
-  flush_scan_metrics(metrics, workers, out);
+  std::uint64_t located = 0;
+  if (locate) {
+    LocateScratch loc;
+    located = locate_unset(*bundle, src, out.hits, loc);
+  }
+  flush_scan_metrics(metrics, workers, out, located);
   retrieve_alignments(query, src, sc, opt, out);
   return out;
+}
+
+}  // namespace
+
+ScanResult scan_database_cpu(const seq::Sequence& query, const std::vector<seq::Sequence>& records,
+                             const align::Scoring& sc, const ScanOptions& opt) {
+  return scan_source_cpu(query, RecordSource(records), sc, opt);
+}
+
+ScanResult scan_database_cpu(const seq::Sequence& query, const db::Store& store,
+                             const align::Scoring& sc, const ScanOptions& opt) {
+  return scan_source_cpu(query, RecordSource(store), sc, opt);
+}
+
+ScanResult scan_records_cpu(const seq::Sequence& query, const RecordSource& src,
+                            std::span<const std::uint32_t> record_ids, const align::Scoring& sc,
+                            const ScanOptions& opt) {
+  return scan_records(query, src, record_ids, sc, opt, /*locate=*/true);
+}
+
+ScanResult scan_records_cpu_scores(const seq::Sequence& query, const RecordSource& src,
+                                   std::span<const std::uint32_t> record_ids,
+                                   const align::Scoring& sc, const ScanOptions& opt) {
+  return scan_records(query, src, record_ids, sc, opt, /*locate=*/false);
+}
+
+std::uint64_t locate_hits(const seq::Sequence& query, const RecordSource& src,
+                          const align::Scoring& sc, const ScanOptions& opt, std::span<Hit> hits) {
+  if (std::none_of(hits.begin(), hits.end(), unlocated)) return 0;
+  const SimdPolicy policy = resolve_simd_policy(opt.simd_policy);
+  const std::shared_ptr<const ProfileBundle> bundle =
+      acquire_bundle(query, sc, policy, opt.profile_cache);
+  LocateScratch loc;
+  const std::uint64_t located = locate_unset(*bundle, src, hits, loc);
+  if (opt.metrics != nullptr) opt.metrics->counter("scan.coords.resolved").add(located);
+  return located;
 }
 
 }  // namespace swr::host

@@ -19,6 +19,12 @@
 //   * every worker keeps its own top-k list; the partial lists are merged
 //     deterministically under hit_ranks_before at the end.
 //
+// The SIMD kernels are score-only: the canonical end cell of each hit is
+// located once, after the merge, for the final top-k only (locate_hits) —
+// the paper's §2.3 split of score + coordinates from alignment, applied
+// to coordinates themselves. With DUST on, candidates are located before
+// the filter, which reads the end cell.
+//
 // The result is BIT-IDENTICAL to the sequential scan for every thread
 // count and SIMD policy — same hits in the same hit_ranks_before order,
 // same cell_updates — because per-record results are engine-invariant
@@ -72,5 +78,32 @@ ScanResult scan_database_cpu(const seq::Sequence& query, const db::Store& store,
 ScanResult scan_records_cpu(const seq::Sequence& query, const RecordSource& src,
                             std::span<const std::uint32_t> record_ids, const align::Scoring& sc,
                             const ScanOptions& opt);
+
+/// scan_records_cpu without the locate step: hit scores and ranking are
+/// final, but hits from the score-only SIMD kernels keep an unset end cell
+/// (Cell{}). The ScanService chunk scan: it merges every chunk of a query
+/// and locates the survivors once through locate_hits.
+ScanResult scan_records_cpu_scores(const seq::Sequence& query, const RecordSource& src,
+                                   std::span<const std::uint32_t> record_ids,
+                                   const align::Scoring& sc, const ScanOptions& opt);
+
+/// True while a score-only kernel's hit still lacks its end cell: a
+/// reported hit scores >= 1, so a located one never ends at Cell{}.
+[[nodiscard]] inline bool unlocated(const Hit& hit) noexcept {
+  return hit.result.end == align::Cell{};
+}
+
+/// Locates the canonical end cell (smallest column, then smallest row) of
+/// every unlocated hit. Scores of 1..255 share one
+/// lane-batched inter-sequence Locate pass seeded with each hit's score;
+/// higher scores, and hosts or schemes without the inter-sequence kernel,
+/// take the scalar profile kernel. The profiles come from
+/// `opt.profile_cache` when set, under `opt.simd_policy`; the count
+/// located is added to `opt.metrics`' scan.coords.resolved. Hits already
+/// located (scalar kernels, boards) are left alone. Ranking never changes:
+/// hit_ranks_before reads the cell only when score and record both tie.
+/// @throws std::logic_error when a located cell disagrees with the score.
+std::uint64_t locate_hits(const seq::Sequence& query, const RecordSource& src,
+                          const align::Scoring& sc, const ScanOptions& opt, std::span<Hit> hits);
 
 }  // namespace swr::host

@@ -26,6 +26,7 @@ struct Span {
   double exec_cpu = 0.0;           ///< summed CPU chunk execution
   double exec_board = 0.0;         ///< summed board chunk execution
   double merge = 0.0;              ///< final sort + trim of the hit union
+  double resolve = 0.0;            ///< end-cell location of the final top-k
   double traceback = 0.0;          ///< alignment retrieval phase (0 unless --align)
   double total = 0.0;              ///< admitted -> resolved
   std::uint32_t chunks = 0;        ///< chunks folded (dispatched or skipped)

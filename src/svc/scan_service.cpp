@@ -68,12 +68,15 @@ struct QueryState {
   std::size_t chunks_done = 0;  ///< folded chunks (dispatched or skipped)
   std::size_t inflight = 0;     ///< chunks/phases executing right now
 
-  // Alignment retrieval phase (ScanOptions::align). The per-chunk opt has
-  // align stripped — chunks stay score-only; once every chunk has folded,
-  // one executor claims the traceback phase and re-aligns the merged
-  // ranking through host::retrieve_alignments.
+  // Post-merge phase. Chunks are score-only and never retrieve (the
+  // per-chunk opt has align stripped); once every chunk has folded — or
+  // the query aborted with nothing in flight — one thread claims the
+  // phase, locates the end cells of the final top-k (host::locate_hits)
+  // and, for a live --align query, traces the ranking back through
+  // host::retrieve_alignments.
   bool align_requested = false;
-  bool traceback_claimed = false;
+  bool post_claimed = false;
+  double resolve_seconds = 0.0;
   double traceback_seconds = 0.0;
 
   // Stage timing for the trace span / histograms; all mutated under the
@@ -85,7 +88,7 @@ struct QueryState {
   double exec_board_seconds = 0.0;  ///< summed board chunk execution
 
   host::ScanResult acc;  ///< hits = unsorted union of chunk top-ks
-  // atomic: the traceback phase polls it lock-free as its stop signal
+  // atomic: the post-merge phase polls it lock-free as its stop signal
   // while cancel()/deadline handling write it under the service mutex.
   std::atomic<bool> aborted{false};
   QueryStatus abort_reason = QueryStatus::Cancelled;
@@ -180,7 +183,7 @@ struct ScanService::Impl {
   mutable std::mutex mu;
   std::condition_variable cv;
   bool paused = false;
-  // atomic for the same reason as QueryState::aborted: the traceback
+  // atomic for the same reason as QueryState::aborted: the post-merge
   // phase's stop poll reads it outside the mutex.
   std::atomic<bool> stopping{false};
   std::uint64_t next_id = 1;
@@ -301,15 +304,15 @@ struct ScanService::Impl {
     cv.notify_all();
     for (std::thread& t : threads) t.join();
     // Workers folded their in-flight chunks before exiting; whatever is
-    // still live resolves as Cancelled with its partial top-k.
-    const std::lock_guard<std::mutex> lock(mu);
+    // still live resolves as Cancelled with its partial top-k, located.
+    std::unique_lock<std::mutex> lock(mu);
     waiting.clear();
     active.clear();
     while (!live.empty()) {
       const std::shared_ptr<QueryState> q = live.begin()->second;
       q->aborted = true;
       q->abort_reason = QueryStatus::Cancelled;
-      resolve_locked(*q);
+      finish(lock, q);
     }
   }
 
@@ -330,16 +333,24 @@ struct ScanService::Impl {
         continue;
       }
       if (q->chunks_dispatched < q->chunks_total) return true;
-      if (traceback_pending_locked(*q)) return true;
     }
     return false;
   }
 
-  // A query whose every chunk has folded but whose --align retrieval
-  // phase has not been claimed yet — the last dispatch unit of its life.
-  [[nodiscard]] static bool traceback_pending_locked(const QueryState& q) {
-    return !q.aborted && q.chunks_done == q.chunks_total && q.align_requested &&
-           !q.traceback_claimed;
+  // Whether q's post-merge phase still has work: end cells to locate, or
+  // a live --align query to trace back.
+  [[nodiscard]] static bool post_pending_locked(const QueryState& q) {
+    if (q.post_claimed) return false;
+    if (!q.aborted && q.align_requested) return true;
+    return std::any_of(q.acc.hits.begin(), q.acc.hits.end(), host::unlocated);
+  }
+
+  // The end of a query's life, entered under `lock` with nothing of q in
+  // flight: the post-merge phase when it has work (run outside the lock),
+  // then resolution. Leaves the lock held.
+  void finish(std::unique_lock<std::mutex>& lock, std::shared_ptr<QueryState> q) {
+    if (post_pending_locked(*q)) run_post_merge(lock, q);
+    if (q->inflight == 0 && live.count(q->id) != 0) resolve_locked(*q);
   }
 
   // Removes q from live/active, seals its result and fulfils the promise.
@@ -404,6 +415,7 @@ struct ScanService::Impl {
       span.exec_cpu = q.exec_cpu_seconds;
       span.exec_board = q.exec_board_seconds;
       span.merge = merge_seconds;
+      span.resolve = q.resolve_seconds;
       span.traceback = q.traceback_seconds;
       span.total = total_seconds;
       span.chunks = static_cast<std::uint32_t>(q.chunks_done);
@@ -428,38 +440,24 @@ struct ScanService::Impl {
       if (metrics.on()) metrics.dispatching->set(static_cast<std::int64_t>(active.size()));
 
       // First active query with work. Aborted queries only need their
-      // bookkeeping finished; expired deadlines become aborts here.
+      // life finished; expired deadlines become aborts here. `active`
+      // mutates under finish(), so the scan stops right after one.
       std::shared_ptr<QueryState> q;
-      std::shared_ptr<QueryState> tb;
-      for (const auto& cand : active) {
+      for (const std::shared_ptr<QueryState>& cand : active) {
         if (cand->aborted && cand->inflight == 0) {
-          resolve_locked(*cand);
-          break;  // active mutated; rescan from the top
-        }
-        if (cand->aborted) continue;
-        if (traceback_pending_locked(*cand)) {
-          if (Clock::now() >= cand->deadline) {
-            cand->aborted = true;
-            cand->abort_reason = QueryStatus::DeadlineExpired;
-            if (cand->inflight == 0) resolve_locked(*cand);
-            break;
-          }
-          tb = cand;
+          finish(lock, cand);
           break;
         }
+        if (cand->aborted) continue;
         if (cand->chunks_dispatched >= cand->chunks_total) continue;
         if (Clock::now() >= cand->deadline) {
           cand->aborted = true;
           cand->abort_reason = QueryStatus::DeadlineExpired;
-          if (cand->inflight == 0) resolve_locked(*cand);
+          if (cand->inflight == 0) finish(lock, cand);
           break;
         }
         q = cand;
         break;
-      }
-      if (tb) {
-        run_traceback(lock, tb);
-        continue;
       }
       if (!q) continue;  // state changed under us; re-evaluate predicate
 
@@ -484,8 +482,8 @@ struct ScanService::Impl {
       try {
         const std::span<const std::uint32_t> chunk_ids = q->ids.subspan(lo, hi - lo);
         part = board != nullptr ? scan_chunk_board(*board, *q, chunk_ids)
-                                : host::scan_records_cpu(q->query, source, chunk_ids,
-                                                         cfg.scoring, q->opt);
+                                : host::scan_records_cpu_scores(q->query, source, chunk_ids,
+                                                                cfg.scoring, q->opt);
       } catch (const std::exception& e) {
         error = e.what();
       }
@@ -507,72 +505,79 @@ struct ScanService::Impl {
         q->error = error;
       }
       fold(q->acc, part);
-      // With --align the last folded chunk does NOT finish the query: the
-      // traceback phase still has to run (dispatchable_locked now reports
-      // it pending and some executor — maybe this one — will claim it).
-      const bool finished = q->aborted
-                                ? q->inflight == 0
-                                : (q->chunks_done == q->chunks_total && !q->align_requested);
-      if (finished && live.count(q->id) != 0) resolve_locked(*q);
+      // The executor folding the last chunk runs the post-merge phase.
+      const bool finished =
+          q->aborted ? q->inflight == 0 : q->chunks_done == q->chunks_total;
+      if (finished && live.count(q->id) != 0) finish(lock, q);
     }
   }
 
-  // The --align retrieval phase: entered under `lock` with the phase
-  // claim-able, leaves the lock held. Chunk results are already all
-  // folded, so this executor owns q->acc until it re-locks; cancel(),
-  // deadline expiry and service shutdown interrupt it between hits via
-  // the lock-free stop poll (they set flags but never touch q->acc while
-  // q->inflight > 0).
-  void run_traceback(std::unique_lock<std::mutex>& lock, const std::shared_ptr<QueryState>& q) {
-    q->traceback_claimed = true;
+  // The post-merge phase: entered under `lock` with the phase pending,
+  // leaves the lock held. Every chunk has folded, so this thread owns
+  // q->acc until it re-locks. The union becomes the final ranking first,
+  // so only the top-k is located, and the traceback walks it in rank
+  // order (alignments[h] belongs to hits[h]; the order is total, so
+  // resolve_locked's later sort cannot reorder it). Locating K records is
+  // not interrupted; cancel(), deadline expiry and service shutdown stop
+  // the traceback between hits via the lock-free stop poll (they set
+  // flags but never touch q->acc while q->inflight > 0).
+  void run_post_merge(std::unique_lock<std::mutex>& lock, const std::shared_ptr<QueryState>& q) {
+    q->post_claimed = true;
     ++q->inflight;
-    // The union becomes the final ranking now, so the traceback walks it
-    // in rank order and alignments[h] is glued to hits[h]. The order is
-    // total, so resolve_locked's later sort cannot reorder it.
     retrieve::topk_finalize(q->acc.hits, q->opt.top_k, host::hit_ranks_before);
+    const bool align = q->align_requested && !q->aborted;
     lock.unlock();
 
     host::ScanOptions opt = q->opt;
-    opt.align = true;
-    opt.metrics = cfg.metrics;  // retrieve.* records once per query, not per chunk
+    opt.metrics = cfg.metrics;  // scan.coords.* and retrieve.* record once per query
     const QueryState* qs = q.get();
     const auto should_stop = [this, qs] {
       return stopping.load(std::memory_order_relaxed) ||
              qs->aborted.load(std::memory_order_relaxed) || Clock::now() >= qs->deadline;
     };
-    const Clock::time_point start = Clock::now();
     std::string error;
+    const Clock::time_point start = Clock::now();
     try {
-      host::retrieve_alignments(q->query, source, cfg.scoring, opt, q->acc, should_stop);
+      host::locate_hits(q->query, source, cfg.scoring, opt, q->acc.hits);
     } catch (const std::exception& e) {
       error = e.what();
     }
-    const double seconds = seconds_between(start, Clock::now());
-    if (metrics.on()) {
+    const Clock::time_point located = Clock::now();
+    const bool trace = align && error.empty() && !should_stop();
+    if (trace) {
+      opt.align = true;
+      try {
+        host::retrieve_alignments(q->query, source, cfg.scoring, opt, q->acc, should_stop);
+      } catch (const std::exception& e) {
+        error = e.what();
+      }
+    }
+    const Clock::time_point end = Clock::now();
+    if (trace && metrics.on()) {
       metrics.tracebacks->add(1);
-      metrics.traceback_us->observe_seconds(seconds);
+      metrics.traceback_us->observe_seconds(seconds_between(located, end));
     }
 
     lock.lock();
     --q->inflight;
-    q->traceback_seconds = seconds;
-    q->last_fold = Clock::now();
+    q->resolve_seconds = seconds_between(start, located);
+    q->traceback_seconds = trace ? seconds_between(located, end) : 0.0;
     if (!error.empty() && !q->aborted) {
       q->aborted = true;
       q->abort_reason = QueryStatus::Failed;
       q->error = error;
     }
-    // A stop poll that fired mid-phase left a truncated alignment list;
-    // surface it exactly like an interruption during chunk dispatch.
+    // A stop that fired before or during the traceback left a truncated
+    // alignment list; surface it exactly like an interruption during
+    // chunk dispatch.
     const std::size_t expect = q->opt.max_hits == 0
                                    ? q->acc.hits.size()
                                    : std::min(q->opt.max_hits, q->acc.hits.size());
-    if (!q->aborted && q->acc.alignments.size() < expect) {
+    if (align && !q->aborted && q->acc.alignments.size() < expect) {
       q->aborted = true;
       q->abort_reason =
           Clock::now() >= q->deadline ? QueryStatus::DeadlineExpired : QueryStatus::Cancelled;
     }
-    if (q->inflight == 0 && live.count(q->id) != 0) resolve_locked(*q);
   }
 
   // A board's version of one chunk: materialize each record out of the
@@ -637,7 +642,7 @@ std::optional<Ticket> ScanService::try_submit(seq::Sequence query, host::ScanOpt
   auto q = std::make_shared<QueryState>();
   q->query = std::move(query);
   // Chunks never retrieve: align is hoisted out of the per-chunk options
-  // into a dedicated post-merge phase (run_traceback).
+  // into the post-merge phase (run_post_merge).
   q->align_requested = opt.align;
   opt.align = false;
   q->opt = opt;
@@ -684,19 +689,16 @@ Ticket ScanService::submit(seq::Sequence query, host::ScanOptions opt,
 }
 
 bool ScanService::cancel(std::uint64_t id) {
-  std::shared_ptr<QueryState> to_resolve;
   {
-    const std::lock_guard<std::mutex> lock(impl_->mu);
+    std::unique_lock<std::mutex> lock(impl_->mu);
     const auto it = impl_->live.find(id);
     if (it == impl_->live.end()) return false;
-    const std::shared_ptr<QueryState>& q = it->second;
+    const std::shared_ptr<QueryState> q = it->second;
     q->aborted = true;
     q->abort_reason = QueryStatus::Cancelled;
-    if (q->inflight == 0) {
-      to_resolve = q;
-      impl_->resolve_locked(*to_resolve);
-    }
-    // else: the executor folding the last in-flight chunk resolves it.
+    // Nothing in flight: the partial top-k is located and resolved here;
+    // otherwise the executor folding the last in-flight chunk does it.
+    if (q->inflight == 0) impl_->finish(lock, q);
   }
   impl_->cv.notify_all();
   return true;

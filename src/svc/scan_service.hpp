@@ -21,7 +21,11 @@
 //     under host::hit_ranks_before. Because every engine reproduces
 //     sw_linear exactly and the order is total, a query's hits are
 //     bit-identical to a direct scan_database_cpu / scan_database call no
-//     matter which mix of units ran which chunks (tests enforce it).
+//     matter which mix of units ran which chunks (tests enforce it);
+//   * one post-merge phase per query, outside the service lock: CPU chunks
+//     are score-only, so the merged top-k's end cells are located once
+//     (host::locate_hits; board hits already carry theirs), then traced
+//     back when --align is set.
 //
 // Lifetime: the service owns its worker threads; the destructor stops
 // dispatch, joins, and resolves still-live queries as Cancelled. The

@@ -1,6 +1,7 @@
-// Inter-sequence (record-per-lane) kernels: profile tables, bit-identity
-// vs sw_linear across batch shapes, lane-refill edge cases, and the exact
-// per-lane saturation predicate shared with the SWAR/striped 8-bit tiers.
+// Inter-sequence (record-per-lane) kernels: profile tables, score-only
+// scans and the seeded Locate pass bit-identical to sw_linear across batch
+// shapes, lane-refill edge cases, and the exact per-lane saturation
+// predicate shared with the SWAR/striped 8-bit tiers.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -27,10 +28,34 @@ std::vector<unsigned> supported_lane_widths() {
   return widths;
 }
 
+// Seeds the Locate pass with every present score and checks each located
+// cell (with its score) against the sw_linear oracle — the canonical
+// smallest-(j, i) end cell.
+void expect_cells_match_oracle(const std::vector<seq::Sequence>& records,
+                               const std::vector<std::optional<Score>>& scores,
+                               const seq::Sequence& query, const Scoring& sc, unsigned lanes,
+                               const std::string& what) {
+  std::vector<seq::Sequence> fits;
+  std::vector<Score> seeds;
+  for (std::size_t r = 0; r < records.size(); ++r) {
+    if (!scores[r].has_value()) continue;
+    fits.push_back(records[r]);
+    seeds.push_back(*scores[r]);
+  }
+  const auto cells = sw_interseq_locate_batch(fits, query, sc, lanes, seeds);
+  ASSERT_TRUE(cells.has_value()) << what;
+  ASSERT_EQ(cells->size(), fits.size()) << what;
+  for (std::size_t k = 0; k < fits.size(); ++k) {
+    EXPECT_EQ((LocalScoreResult{seeds[k], (*cells)[k]}), sw_linear(fits[k], query, sc))
+        << what << " located record " << k;
+  }
+}
+
 // Scores `records` through the interseq batch and checks every returned
-// result against the sw_linear oracle: a present value must be
-// bit-identical, and absence must coincide exactly with a true score
-// > 255 (the swar8/striped saturation predicate).
+// score against the sw_linear oracle: a present value must be the exact
+// best score, and absence must coincide exactly with a true score > 255
+// (the swar8/striped saturation predicate). The present scores then seed
+// the Locate pass, whose cells must be the oracle's.
 void expect_batch_matches_oracle(const std::vector<seq::Sequence>& records,
                                  const seq::Sequence& query, const Scoring& sc, unsigned lanes,
                                  const std::string& what, InterSeqStats* stats = nullptr) {
@@ -44,9 +69,10 @@ void expect_batch_matches_oracle(const std::vector<seq::Sequence>& records,
                                             << oracle.score << " must saturate the lane)";
     } else {
       ASSERT_TRUE((*batch)[r].has_value()) << what << " record " << r;
-      EXPECT_EQ(*(*batch)[r], oracle) << what << " record " << r;
+      EXPECT_EQ(*(*batch)[r], oracle.score) << what << " record " << r;
     }
   }
+  expect_cells_match_oracle(records, *batch, query, sc, lanes, what);
 }
 
 TEST(InterSeqProfile, RejectsUnsupportedLaneCount) {
@@ -137,15 +163,16 @@ TEST(InterSeqBatch, EmptyBatchAndEmptyQuery) {
     ASSERT_EQ(r->size(), 2u);
     for (const auto& one : *r) {
       ASSERT_TRUE(one.has_value());
-      EXPECT_EQ(*one, LocalScoreResult{});
+      EXPECT_EQ(*one, 0);
     }
+    expect_cells_match_oracle(recs, *r, seq::Sequence::dna(""), kSc, lanes, "empty query");
   }
 }
 
 TEST(InterSeqBatch, CanonicalTieBreakAcrossRepeats) {
   // A periodic query against periodic records produces many equal-scoring
-  // cells; the per-lane rescan must keep the smallest-(j, i) cell exactly
-  // like sw_linear.
+  // cells; the Locate pass must find the smallest-(j, i) cell exactly like
+  // sw_linear.
   for (const unsigned lanes : supported_lane_widths()) {
     std::vector<seq::Sequence> records;
     for (std::size_t r = 0; r < 40; ++r) {
@@ -199,13 +226,15 @@ TEST(InterSeqBatch, SaturationBoundaryExactAndSwar8PredicateParity) {
       EXPECT_EQ((*batch)[r].has_value(), swar8.has_value())
           << "record " << r << ": interseq and swar8 must saturate on exactly the same records";
       if ((*batch)[r].has_value()) {
-        EXPECT_EQ(*(*batch)[r], oracle) << "record " << r;
+        EXPECT_EQ(*(*batch)[r], oracle.score) << "record " << r;
       } else {
         EXPECT_GT(oracle.score, 255) << "record " << r;
         ++absent;
       }
     }
     EXPECT_EQ(absent, 2u);  // exactly the 256- and 300-scoring copies
+    // A seeded score of exactly 255 still locates inside the byte lanes.
+    expect_cells_match_oracle(records, *batch, q300, kSc, lanes, "saturation boundary");
   }
 }
 
@@ -272,8 +301,11 @@ TEST(InterSeqBatch, UnavailableShapesReturnOuterNullopt) {
   InterSeqWorkspace ws;
   EXPECT_THROW(sw_interseq_scan(
                    big, ws, [](unsigned) { return std::optional<InterSeqRecord>{}; },
-                   [](std::uint64_t, std::span<const seq::Code>,
-                      const std::optional<LocalScoreResult>&) {}),
+                   [](std::uint64_t, std::span<const seq::Code>, std::optional<Score>) {}),
+               std::logic_error);
+  EXPECT_THROW(sw_interseq_locate(
+                   big, ws, [](unsigned) { return std::optional<InterSeqRecord>{}; },
+                   [](std::uint64_t, Cell) {}),
                std::logic_error);
 }
 
@@ -284,8 +316,9 @@ TEST(InterSeqBatch, AlphabetMismatchThrows) {
 }
 
 TEST(InterSeqWorkspaceReuse, BackToBackBatchesStayExact) {
-  // One workspace, many scans with different queries/records — stale lane
-  // state must never leak across scans.
+  // One workspace, many scans with different queries/records, each
+  // followed by a Locate pass on the same workspace — stale lane state
+  // must never leak across scans or between the two instantiations.
   for (const unsigned lanes : supported_lane_widths()) {
     InterSeqWorkspace ws;
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
@@ -298,7 +331,7 @@ TEST(InterSeqWorkspaceReuse, BackToBackBatchesStayExact) {
       }
       const InterSeqProfile profile(query, kSc, lanes);
       ASSERT_TRUE(profile.usable());
-      std::vector<std::optional<LocalScoreResult>> out(records.size());
+      std::vector<std::optional<Score>> out(records.size());
       std::size_t next = 0;
       sw_interseq_scan(
           profile, ws,
@@ -307,14 +340,55 @@ TEST(InterSeqWorkspaceReuse, BackToBackBatchesStayExact) {
             const std::size_t r = next++;
             return InterSeqRecord{r, records[r].codes()};
           },
-          [&](std::uint64_t tag, std::span<const seq::Code>,
-              const std::optional<LocalScoreResult>& result) { out[tag] = result; });
+          [&](std::uint64_t tag, std::span<const seq::Code>, std::optional<Score> score) {
+            out[tag] = score;
+          });
+      std::vector<Cell> cells(records.size());
+      next = 0;
+      sw_interseq_locate(
+          profile, ws,
+          [&](unsigned) -> std::optional<InterSeqRecord> {
+            if (next >= records.size()) return std::nullopt;
+            const std::size_t r = next++;
+            return InterSeqRecord{r, records[r].codes(), out[r].value_or(0)};
+          },
+          [&](std::uint64_t tag, Cell end) { cells[tag] = end; });
       for (std::size_t r = 0; r < records.size(); ++r) {
         const LocalScoreResult oracle = sw_linear(records[r], query, kSc);
         ASSERT_TRUE(out[r].has_value()) << "seed " << seed << " record " << r;
-        EXPECT_EQ(*out[r], oracle) << "seed " << seed << " record " << r;
+        EXPECT_EQ((LocalScoreResult{*out[r], cells[r]}), oracle)
+            << "seed " << seed << " record " << r;
       }
     }
+  }
+}
+
+TEST(InterSeqLocate, SeededScoreOutsideAByteThrows) {
+  for (const unsigned lanes : supported_lane_widths()) {
+    const std::vector<seq::Sequence> recs = {seq::Sequence::dna("ACGT")};
+    for (const Score bad : {-1, 256}) {
+      const Score seeds[] = {bad};
+      EXPECT_THROW((void)sw_interseq_locate_batch(recs, seq::Sequence::dna("ACGT"), kSc, lanes,
+                                                  seeds),
+                   std::invalid_argument)
+          << bad;
+    }
+    const Score two[] = {1, 2};
+    EXPECT_THROW((void)sw_interseq_locate_batch(recs, seq::Sequence::dna("ACGT"), kSc, lanes, two),
+                 std::invalid_argument);
+  }
+}
+
+TEST(InterSeqLocate, UnreachableSeedReportsNoCell) {
+  // A seeded score no cell reaches never triggers a rescan: the record
+  // comes back at Cell{}, which callers treat as a broken precondition.
+  for (const unsigned lanes : supported_lane_widths()) {
+    const std::vector<seq::Sequence> recs = {seq::Sequence::dna("ACGTACGT")};
+    const Score seeds[] = {9};  // the best is 8
+    const auto cells = sw_interseq_locate_batch(recs, seq::Sequence::dna("ACGTACGT"), kSc, lanes,
+                                                seeds);
+    ASSERT_TRUE(cells.has_value());
+    EXPECT_EQ((*cells)[0], Cell{});
   }
 }
 

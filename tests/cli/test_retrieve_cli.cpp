@@ -11,6 +11,7 @@
 #include "seq/fasta.hpp"
 #include "seq/mutate.hpp"
 #include "seq/random.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -54,9 +55,12 @@ struct Fixture {
       if (r % 9 == 4) rec.append(seq::point_mutate(query, 0.04, gen.engine()));
       recs.push_back(std::move(rec));
     }
-    query_fa = testing::TempDir() + "/retrieve_q.fa";
-    db_fa = testing::TempDir() + "/retrieve_db.fa";
-    db_swdb = testing::TempDir() + "/retrieve_db.swdb";
+    // Per-process leaves: ctest -j runs every test of this file as its own
+    // process, and a shared .swdb would be rebuilt while another process
+    // has it mapped.
+    query_fa = testing::TempDir() + "/" + test::unique_leaf("retrieve_q.fa");
+    db_fa = testing::TempDir() + "/" + test::unique_leaf("retrieve_db.fa");
+    db_swdb = testing::TempDir() + "/" + test::unique_leaf("retrieve_db.swdb");
     seq::write_fasta_file(query_fa, {query});
     seq::write_fasta_file(db_fa, recs);
     EXPECT_EQ(run("swdb", {"build", db_fa, db_swdb}).code, 0);
@@ -193,9 +197,9 @@ TEST(AlignLegInfo, JsonReportCoversTheStore) {
 }
 
 TEST(AlignLegMatrix, RendersFigureTwoForSmallPairs) {
-  const std::string a_fa = testing::TempDir() + "/matrix_a.fa";
-  const std::string b_fa = testing::TempDir() + "/matrix_b.fa";
-  const std::string big_fa = testing::TempDir() + "/matrix_big.fa";
+  const std::string a_fa = testing::TempDir() + "/" + test::unique_leaf("matrix_a.fa");
+  const std::string b_fa = testing::TempDir() + "/" + test::unique_leaf("matrix_b.fa");
+  const std::string big_fa = testing::TempDir() + "/" + test::unique_leaf("matrix_big.fa");
   seq::write_fasta_file(a_fa, {seq::Sequence::dna("ACTTGTCCG", "a")});
   seq::write_fasta_file(b_fa, {seq::Sequence::dna("AGTGTCAGA", "b")});
   seq::write_fasta_file(big_fa, {seq::Sequence::dna(std::string(120, 'A'), "big")});

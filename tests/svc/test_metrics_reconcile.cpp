@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/cpu_features.hpp"
 #include "core/multiboard.hpp"
 #include "db/builder.hpp"
 #include "db/store.hpp"
@@ -180,6 +181,75 @@ TEST(MetricsReconcile, ServiceAcrossExecutorMixes) {
       EXPECT_GT(chunks, 0u) << ctx;
       if (boards == 0) {
         EXPECT_EQ(snap.counter("svc.chunks_board"), 0u) << ctx;
+      }
+    }
+  }
+}
+
+// scan.coords.resolved counts exactly the hits whose end cell was located
+// after a score-only kernel: every reported hit when the policy leads with
+// a native-SIMD tier, none under the scalar/SWAR tiers (their kernels
+// carry the cell), none for board hits (the hardware's Bs/Bc), and in the
+// service only the CPU chunks' hits, once per query.
+TEST(MetricsReconcile, CoordsResolvedCountsLocatedHits) {
+  const std::vector<seq::Sequence> recs = reconcile_records();
+  const std::vector<seq::Sequence> queries = reconcile_queries();
+  const align::Scoring sc = align::Scoring::paper_default();
+  const core::SimdIsa auto_isa = core::auto_simd_isa();
+  const bool auto_score_only =
+      auto_isa == core::SimdIsa::Sse41 || auto_isa == core::SimdIsa::Avx2;
+
+  for (const host::SimdPolicy policy : {host::SimdPolicy::Auto, host::SimdPolicy::Scalar}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      obs::Registry reg;
+      std::uint64_t hits = 0;
+      for (const seq::Sequence& q : queries) {
+        host::ScanOptions opt;
+        opt.top_k = 5;
+        opt.threads = threads;
+        opt.simd_policy = policy;
+        opt.metrics = &reg;
+        hits += host::scan_database_cpu(q, recs, sc, opt).hits.size();
+      }
+      const bool located = policy == host::SimdPolicy::Auto && auto_score_only;
+      EXPECT_GT(hits, 0u);
+      EXPECT_EQ(reg.snapshot().counter("scan.coords.resolved"), located ? hits : 0u)
+          << "policy=" << static_cast<int>(policy) << " threads=" << threads;
+    }
+  }
+
+  const std::string path = testing::TempDir() + "/" + test::unique_leaf("reconcile_coords.swdb");
+  db::build_store(recs, path);
+  const db::Store store = db::Store::open(path);
+  for (const std::size_t cpu_workers : {std::size_t{0}, std::size_t{2}}) {
+    for (const std::size_t boards : {std::size_t{0}, std::size_t{2}}) {
+      if (cpu_workers + boards == 0) continue;
+      obs::Registry reg;
+      svc::ServiceConfig cfg;
+      cfg.cpu_workers = cpu_workers;
+      cfg.boards = boards;
+      cfg.board_pes = 24;
+      cfg.chunk_records = 7;
+      cfg.metrics = &reg;
+      std::uint64_t cpu_hits = 0;
+      {
+        svc::ScanService service(store, cfg);
+        for (const seq::Sequence& q : queries) {
+          host::ScanOptions opt;
+          opt.top_k = 6;
+          const svc::ScanResponse resp = service.submit(q, opt).response.get();
+          ASSERT_EQ(resp.status, svc::QueryStatus::Done) << resp.error;
+          for (const host::Hit& h : resp.result.hits) {
+            if (h.board_seconds == 0.0) ++cpu_hits;  // board hits carry their board time
+          }
+        }
+      }
+      const std::string ctx =
+          "cpu=" + std::to_string(cpu_workers) + " boards=" + std::to_string(boards);
+      EXPECT_EQ(reg.snapshot().counter("scan.coords.resolved"), auto_score_only ? cpu_hits : 0u)
+          << ctx;
+      if (cpu_workers == 0) {
+        EXPECT_EQ(reg.snapshot().counter("scan.coords.resolved"), 0u) << ctx;
       }
     }
   }

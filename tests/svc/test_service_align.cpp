@@ -188,4 +188,28 @@ TEST(ServiceAlign, TraceSpanCarriesTheTracebackStage) {
   EXPECT_LE(spans[1].traceback, spans[1].total);
 }
 
+TEST(ServiceAlign, TraceSpanCarriesTheResolveStage) {
+  const AlignDb db(6106);
+  const db::Store store = open_store(db.records, "svc_align_resolve.swdb");
+  obs::TraceRing ring(8);
+  svc::ServiceConfig cfg;
+  cfg.trace = &ring;
+  cfg.chunk_records = 5;
+  svc::ScanService service(store, cfg);
+
+  host::ScanOptions plain = align_opt();
+  plain.align = false;
+  (void)service.submit(db.query, plain).response.get();
+  (void)service.submit(db.query, align_opt()).response.get();
+
+  // The post-merge phase runs for every query with hits to locate, and
+  // its stages are disjoint from the chunk window: the sequential stages
+  // never add up past the query's total.
+  for (const obs::Span& s : ring.spans()) {
+    EXPECT_GE(s.resolve, 0.0);
+    EXPECT_LE(s.admission_wait + s.dispatch_window + s.resolve + s.traceback + s.merge, s.total)
+        << "query " << s.query_id;
+  }
+}
+
 }  // namespace

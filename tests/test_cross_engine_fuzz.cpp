@@ -14,6 +14,7 @@
 // and the affine pair gotoh_local_score == ArrayController<AffinePe>.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -31,10 +32,14 @@
 #include "core/cpu_features.hpp"
 #include "core/multibase.hpp"
 #include "core/multiboard.hpp"
+#include "db/builder.hpp"
+#include "db/store.hpp"
 #include "host/batch.hpp"
 #include "host/scan_engine.hpp"
 #include "par/wavefront.hpp"
 #include "seq/random.hpp"
+#include "svc/scan_service.hpp"
+#include "test_util.hpp"
 
 namespace {
 
@@ -192,8 +197,9 @@ void check_all_engines(const seq::Sequence& db, const seq::Sequence& query,
   for (const unsigned lanes : striped_lane_widths()) {
     EXPECT_EQ(align::sw_linear_striped(db, query, sc, lanes), oracle)
         << "striped" << lanes << " " << ctx;
-    // Inter-sequence kernel, one-record batch: exact when the score fits
-    // the 8-bit lanes, a declared fallback (inner nullopt) when not.
+    // Inter-sequence kernel, one-record batch: the exact score when it
+    // fits the 8-bit lanes, a declared fallback (inner nullopt) when not;
+    // the score then seeds the Locate pass for the canonical cell.
     const auto batch = align::sw_interseq_batch({db}, query, sc, lanes);
     if (batch.has_value()) {
       ASSERT_EQ(batch->size(), 1u) << "interseq" << lanes << " " << ctx;
@@ -201,7 +207,11 @@ void check_all_engines(const seq::Sequence& db, const seq::Sequence& query,
         EXPECT_FALSE((*batch)[0].has_value()) << "interseq" << lanes << " " << ctx;
       } else {
         ASSERT_TRUE((*batch)[0].has_value()) << "interseq" << lanes << " " << ctx;
-        EXPECT_EQ(*(*batch)[0], oracle) << "interseq" << lanes << " " << ctx;
+        EXPECT_EQ(*(*batch)[0], oracle.score) << "interseq" << lanes << " " << ctx;
+        const align::Score seed[] = {*(*batch)[0]};
+        const auto cells = align::sw_interseq_locate_batch({db}, query, sc, lanes, seed);
+        ASSERT_TRUE(cells.has_value()) << "locate" << lanes << " " << ctx;
+        EXPECT_EQ((*cells)[0], oracle.end) << "locate" << lanes << " " << ctx;
       }
     }
   }
@@ -338,12 +348,11 @@ TEST(CrossEngineDegenerate, StripedSaturationBoundaryExact) {
                               " len=" + std::to_string(c.len) + " lanes=" + std::to_string(lanes);
       const align::StripedProfile profile(s, sc, lanes);
       align::StripedWorkspace ws;
-      const std::optional<align::LocalScoreResult> attempt =
-          align::sw_striped8_try(s.codes(), profile, ws);
+      const std::optional<align::Score> attempt = align::sw_striped8_try(s.codes(), profile, ws);
       EXPECT_EQ(attempt.has_value(), swar8_fits) << ctx;  // predicate parity with swar8
       EXPECT_EQ(attempt.has_value(), oracle.score <= 255) << ctx;
       if (attempt.has_value()) {
-        EXPECT_EQ(*attempt, oracle) << ctx;
+        EXPECT_EQ(*attempt, oracle.score) << ctx;
       }
 
       std::uint64_t fallbacks = 0;
@@ -450,6 +459,234 @@ TEST(CrossEngineDegenerate, ScanParityAcrossPoliciesThreadsAndBoard) {
     const host::ScanResult board = host::scan_database(acc, query, records, base);
     expect_same_scan_hits(reference, board, "q=" + query.name() + " board");
   }
+}
+
+// ---------------------------------------------------------------------------
+// Tie-heavy differential oracle. The SIMD kernels are score-only and the
+// canonical end cell (smallest column, then smallest row) is located
+// after the merge, seeded with each hit's score — so the inputs where many
+// cells share the best score are exactly where deferred locating could
+// drift: homopolymers, periodic repeats, duplicate copies planted inside
+// one record, BLOSUM62 runs of one residue, and scores of exactly 255 and
+// 256 (the last byte-located score and the first scalar-located one).
+// Every hit's score and cell is checked against sw_full through the
+// engine (vector and store sources, striped and interseq shapes, 1 and 4
+// threads) and through ScanService chunking.
+// ---------------------------------------------------------------------------
+
+struct TieCase {
+  std::string name;
+  align::Scoring sc;
+  seq::Sequence query;
+  std::vector<seq::Sequence> records;
+};
+
+std::string periodic(const std::string& unit, std::size_t n) {
+  std::string s;
+  for (std::size_t i = 0; i < n; ++i) s += unit[i % unit.size()];
+  return s;
+}
+
+std::vector<TieCase> tie_heavy_cases() {
+  std::vector<TieCase> cases;
+  seq::RandomSequenceGenerator gen(0x71E5);
+
+  // DNA under the paper's +1/-1/-2: homopolymers, periodic repeats and
+  // duplicate planted copies against homopolymer, periodic and random
+  // queries (the random query's segments are what gets planted).
+  const seq::Sequence rand_q = gen.uniform(seq::dna(), 60, "rand_q");
+  std::vector<seq::Sequence> dna;
+  dna.push_back(seq::Sequence::dna(repeat('A', 50), "polyA50"));
+  dna.push_back(seq::Sequence::dna(repeat('C', 120), "polyC120"));
+  dna.push_back(seq::Sequence::dna(repeat('G', 7), "polyG7"));
+  dna.push_back(seq::Sequence::dna(periodic("ACG", 120), "acg40"));
+  dna.push_back(seq::Sequence::dna(periodic("AT", 121), "at60"));
+  dna.push_back(seq::Sequence::dna(periodic("ACGT", 132), "acgt33"));
+  for (int r = 0; r < 4; ++r) {
+    // Two (or three) identical copies of one query segment inside one
+    // record: equal best scores at the same column, different rows.
+    seq::Sequence rec = gen.uniform(seq::dna(), 40 + 10 * static_cast<std::size_t>(r),
+                                    "dup" + std::to_string(r));
+    const seq::Sequence seg = rand_q.subsequence(static_cast<std::size_t>(5 * r), 25);
+    rec.append(seg);
+    rec.append(gen.uniform(seq::dna(), 30));
+    rec.append(seg);
+    if (r % 2 == 1) rec.append(seg);
+    dna.push_back(std::move(rec));
+  }
+  for (int r = 0; r < 6; ++r) dna.push_back(gen.uniform(seq::dna(), 90, "bg" + std::to_string(r)));
+  align::Scoring paper;
+  for (const seq::Sequence& q :
+       {seq::Sequence::dna(repeat('A', 40), "polyA_q"),
+        seq::Sequence::dna(periodic("ACGT", 40), "period_q"), rand_q}) {
+    cases.push_back({"dna/" + q.name(), paper, q, dna});
+  }
+
+  // Scores of exactly 255 and 256: planted copies of a 300-bp query's
+  // prefixes, plus repeats of those copies inside one record.
+  const seq::Sequence long_q = gen.uniform(seq::dna(), 300, "long_q");
+  std::vector<seq::Sequence> edge;
+  for (const std::size_t len : {254u, 255u, 256u}) {
+    seq::Sequence rec = gen.uniform(seq::dna(), 17, "copy" + std::to_string(len));
+    rec.append(long_q.subsequence(0, len));
+    rec.append(gen.uniform(seq::dna(), 23));
+    edge.push_back(rec);
+    seq::Sequence twice = gen.uniform(seq::dna(), 5, "twice" + std::to_string(len));
+    twice.append(long_q.subsequence(0, len));
+    twice.append(gen.uniform(seq::dna(), 40));
+    twice.append(long_q.subsequence(0, len));
+    edge.push_back(std::move(twice));
+  }
+  for (int r = 0; r < 4; ++r) {
+    edge.push_back(gen.uniform(seq::dna(), 200, "edge_bg" + std::to_string(r)));
+  }
+  cases.push_back({"dna/255-256", paper, long_q, edge});
+
+  // BLOSUM62 runs of one residue: W/W = 11 (a 30-run scores 330 > 255,
+  // so it is located by the scalar rung), A/A = 4, L/L = 4.
+  align::Scoring blosum;
+  blosum.matrix = &align::blosum62();
+  blosum.gap = -8;
+  std::vector<seq::Sequence> prot;
+  prot.push_back(seq::Sequence::protein(repeat('W', 30), "W30"));
+  prot.push_back(seq::Sequence::protein(repeat('W', 12), "W12"));
+  prot.push_back(seq::Sequence::protein(repeat('A', 60), "A60"));
+  prot.push_back(seq::Sequence::protein(repeat('L', 45), "L45"));
+  prot.push_back(seq::Sequence::protein(repeat('L', 20) + repeat('K', 9) + repeat('L', 20),
+                                        "L20K9L20"));
+  prot.push_back(seq::Sequence::protein(periodic("WA", 50), "wa25"));
+  for (int r = 0; r < 4; ++r) {
+    prot.push_back(gen.uniform(seq::protein(), 80, "pbg" + std::to_string(r)));
+  }
+  for (const seq::Sequence& q :
+       {seq::Sequence::protein(repeat('W', 24), "W24_q"),
+        seq::Sequence::protein(repeat('A', 10) + repeat('L', 10) + repeat('A', 10), "ALA_q"),
+        seq::Sequence::protein(periodic("WAL", 36), "wal_q")}) {
+    cases.push_back({"blosum62/" + q.name(), blosum, q, prot});
+  }
+  return cases;
+}
+
+// The oracle ranking: every record's sw_full result at or above
+// min_score, under the total hit order.
+std::vector<host::Hit> oracle_hits(const TieCase& c, align::Score min_score) {
+  std::vector<host::Hit> hits;
+  for (std::size_t r = 0; r < c.records.size(); ++r) {
+    host::Hit h;
+    h.record = r;
+    h.result = align::sw_best(align::sw_matrix(c.records[r], c.query, c.sc));
+    if (h.result.score >= min_score) hits.push_back(h);
+  }
+  std::sort(hits.begin(), hits.end(), host::hit_ranks_before);
+  return hits;
+}
+
+void expect_oracle_hits(const std::vector<host::Hit>& got, const std::vector<host::Hit>& want,
+                        const std::string& ctx) {
+  ASSERT_EQ(got.size(), want.size()) << ctx;
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(got[k].record, want[k].record) << ctx << " hit " << k;
+    EXPECT_EQ(got[k].result, want[k].result) << ctx << " hit " << k;
+  }
+}
+
+TEST(TieHeavyOracle, EngineShapesThreadsAndSourcesMatchSwFull) {
+  for (const TieCase& c : tie_heavy_cases()) {
+    host::ScanOptions opt;
+    opt.top_k = c.records.size();  // every record is reported and located
+    opt.min_score = 1;
+    const std::vector<host::Hit> want = oracle_hits(c, opt.min_score);
+    if (c.name == "dna/255-256") {
+      // The edge case must really straddle the byte: both scores present.
+      for (const align::Score edge : {255, 256}) {
+        EXPECT_TRUE(std::any_of(want.begin(), want.end(),
+                                [&](const host::Hit& h) { return h.result.score == edge; }))
+            << "no record scores exactly " << edge;
+      }
+    }
+    const std::string path =
+        testing::TempDir() + "/" + test::unique_leaf("tie_oracle.swdb");
+    db::build_store(c.records, path);
+    const db::Store store = db::Store::open(path);
+    for (const host::KernelShape shape : {host::KernelShape::Striped, host::KernelShape::InterSeq}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        host::ScanOptions o = opt;
+        o.kernel = shape;
+        o.threads = threads;
+        const std::string ctx = c.name + " kernel=" + core::kernel_shape_name(shape) +
+                                " threads=" + std::to_string(threads);
+        expect_oracle_hits(host::scan_database_cpu(c.query, c.records, c.sc, o).hits, want,
+                           ctx + " vector");
+        expect_oracle_hits(host::scan_database_cpu(c.query, store, c.sc, o).hits, want,
+                           ctx + " store");
+      }
+    }
+  }
+}
+
+TEST(TieHeavyOracle, ServiceChunkingMatchesSwFull) {
+  for (const TieCase& c : tie_heavy_cases()) {
+    host::ScanOptions opt;
+    opt.top_k = 8;  // a strict top-k: chunks report more than survive
+    opt.min_score = 1;
+    std::vector<host::Hit> want = oracle_hits(c, opt.min_score);
+    if (want.size() > opt.top_k) want.resize(opt.top_k);
+    const std::string path =
+        testing::TempDir() + "/" + test::unique_leaf("tie_oracle_svc.swdb");
+    db::build_store(c.records, path);
+    const db::Store store = db::Store::open(path);
+    for (const std::size_t chunk : {std::size_t{3}, std::size_t{1000}}) {
+      svc::ServiceConfig cfg;
+      cfg.cpu_workers = 2;
+      cfg.chunk_records = chunk;
+      cfg.scoring = c.sc;
+      svc::ScanService service(store, cfg);
+      const svc::ScanResponse resp = service.submit(c.query, opt).response.get();
+      ASSERT_EQ(resp.status, svc::QueryStatus::Done) << resp.error;
+      expect_oracle_hits(resp.result.hits, want, c.name + " chunk=" + std::to_string(chunk));
+    }
+  }
+}
+
+TEST(TieHeavyOracle, LocatePassRefillsLanesPastOneBatch) {
+  // More records than the widest lane batch, every one tie-heavy: the
+  // Locate pass must refill lanes and still land every canonical cell.
+  const std::vector<TieCase> cases = tie_heavy_cases();
+  const TieCase& c = cases.front();  // DNA, homopolymer query
+  std::vector<seq::Sequence> records;
+  for (std::size_t k = 0; records.size() < 3 * align::kInterSeqMaxLanes + 5; ++k) {
+    records.push_back(c.records[k % c.records.size()]);
+  }
+  for (const unsigned lanes : striped_lane_widths()) {
+    const auto scores = align::sw_interseq_batch(records, c.query, c.sc, lanes);
+    ASSERT_TRUE(scores.has_value());
+    std::vector<align::Score> seeds;
+    for (const auto& s : *scores) {
+      ASSERT_TRUE(s.has_value());
+      seeds.push_back(*s);
+    }
+    align::InterSeqStats stats;
+    const auto cells =
+        align::sw_interseq_locate_batch(records, c.query, c.sc, lanes, seeds, &stats);
+    ASSERT_TRUE(cells.has_value());
+    EXPECT_GT(stats.refills, 0u) << "lanes " << lanes;
+    EXPECT_EQ(stats.fallbacks, 0u);
+    for (std::size_t r = 0; r < records.size(); ++r) {
+      EXPECT_EQ((align::LocalScoreResult{seeds[r], (*cells)[r]}),
+                align::sw_best(align::sw_matrix(records[r], c.query, c.sc)))
+          << "lanes " << lanes << " record " << r;
+    }
+  }
+
+  // And through the engine: a top-k wider than one lane batch is located
+  // in one pass after the merge.
+  host::ScanOptions opt;
+  opt.top_k = records.size();
+  opt.min_score = 1;
+  const TieCase wide{c.name, c.sc, c.query, records};
+  expect_oracle_hits(host::scan_database_cpu(c.query, records, c.sc, opt).hits,
+                     oracle_hits(wide, opt.min_score), "engine, " + std::to_string(records.size()) +
+                                                           " located hits");
 }
 
 }  // namespace
