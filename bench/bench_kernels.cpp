@@ -259,6 +259,7 @@ const char* simd_name(host::SimdPolicy p) {
     case host::SimdPolicy::Swar8: return "swar8";
     case host::SimdPolicy::Sse41: return "sse41";
     case host::SimdPolicy::Avx2: return "avx2";
+    case host::SimdPolicy::Avx512: return "avx512";
     default: return "auto";
   }
 }

@@ -43,6 +43,10 @@ bool sw_interseq_compiled() noexcept { return SWR_INTERSEQ_X86 != 0; }
 
 unsigned sw_interseq_max_lanes() noexcept {
 #if SWR_INTERSEQ_X86
+  // The one AVX-512 gate: byte-granular shuffles, saturating adds and
+  // 64-bit compare masks are all AVX-512BW on top of the F foundation.
+  // libgcc reports them only when the OS also saves the zmm state.
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw")) return 64;
   if (__builtin_cpu_supports("avx2")) return 32;
   if (__builtin_cpu_supports("sse4.1")) return 16;
 #endif
@@ -56,8 +60,9 @@ InterSeqProfile::InterSeqProfile(std::span<const seq::Code> query, const Scoring
                                  unsigned lanes8, std::size_t alphabet_size)
     : n_(query.size()), lanes8_(lanes8), alphabet_size_(alphabet_size) {
   sc.validate();
-  if (lanes8 != 16 && lanes8 != 32) {
-    throw std::invalid_argument("InterSeqProfile: lane count must be 16 (SSE4.1) or 32 (AVX2)");
+  if (lanes8 != 16 && lanes8 != 32 && lanes8 != 64) {
+    throw std::invalid_argument(
+        "InterSeqProfile: lane count must be 16 (SSE4.1), 32 (AVX2) or 64 (AVX-512BW)");
   }
   const Magnitudes m = scheme_magnitudes(sc);
   fits8_ = m.max_sub <= 0xFF && -m.min_sub <= 0xFF && m.gap_mag <= 0xFF;
@@ -89,17 +94,17 @@ InterSeqProfile::InterSeqProfile(std::span<const seq::Code> query, const Scoring
 
 namespace {
 
-// Locate-mode bookkeeping shared by both ISA widths: for each lane whose
+// Locate-mode bookkeeping shared by every ISA width: for each lane whose
 // row max equals its record's known score, find the row's first column
 // holding that score. Rows arrive in increasing i, so a later row wins
 // only with a strictly smaller column — the scan stops left of the cell
 // already held, which reproduces sw_linear's canonical (j, i)
 // tie-break exactly.
 template <unsigned L>
-void locate_lanes(std::uint32_t trig, const std::uint8_t* h, std::size_t n,
+void locate_lanes(std::uint64_t trig, const std::uint8_t* h, std::size_t n,
                   InterSeqWorkspace& ws) {
   for (; trig != 0; trig &= trig - 1) {
-    const unsigned l = static_cast<unsigned>(__builtin_ctz(trig));
+    const unsigned l = static_cast<unsigned>(__builtin_ctzll(trig));
     Cell& cell = ws.cell[l];
     const std::size_t limit = cell.j == 0 ? n : cell.j - 1;
     for (std::size_t j = 1; j <= limit; ++j) {
@@ -273,6 +278,76 @@ __attribute__((target("avx2"))) void advance_avx2(const InterSeqProfile& p,
   }
 }
 
+// --- AVX-512BW, 64 records x 8-bit lanes ----------------------------------
+
+// The AVX2 body at twice the width. vpshufb still shuffles within each
+// 128-bit quarter, so a 16-slot table is broadcast to all four. A 32-slot
+// table takes the low half's shuffle and overwrites, under a per-step mask
+// of the lanes whose code has bit 4 set, with the high half's — a masked
+// shuffle, so neither blendv nor VBMI's cross-lane permute is needed.
+// (The all-ones zero-masking form is the same vbroadcasti32x4; the
+// unmasked intrinsic trips GCC 12's -Wmaybe-uninitialized.)
+__attribute__((target("avx512f,avx512bw"))) inline __m512i tab512(const std::uint8_t* tab) {
+  return _mm512_maskz_broadcast_i32x4(__mmask16(0xFFFF),
+                                      _mm_loadu_si128(reinterpret_cast<const __m128i*>(tab)));
+}
+
+template <bool Locate>
+__attribute__((target("avx512f,avx512bw"))) void advance_avx512(const InterSeqProfile& p,
+                                                                InterSeqWorkspace& ws,
+                                                                std::size_t steps) {
+  constexpr unsigned L = 64;
+  const std::size_t n = p.query_len();
+  std::uint8_t* h = ws.h.data();
+  const std::uint8_t neutral = static_cast<std::uint8_t>(p.neutral_code());
+  const bool wide_tab = p.table_slots() == 32;
+  const __m512i vGap = _mm512_set1_epi8(static_cast<char>(p.gap8()));
+  const __m512i vZero = _mm512_setzero_si512();
+  const __m512i vBit4 = _mm512_set1_epi8(0x10);
+  const __m512i vIn = _mm512_loadu_si512(ws.peak.data());
+  __m512i vPeak = vIn;
+  __m512i vOvf = _mm512_loadu_si512(ws.ovf.data());
+
+  for (std::size_t step = 0; step < steps; ++step) {
+    gather_codes<L>(ws, neutral);
+    const __m512i vC = _mm512_loadu_si512(ws.codes.data());
+    const __mmask64 mHi = _mm512_test_epi8_mask(vC, vBit4);
+    __m512i vDiag = vZero;
+    __m512i vLeft = vZero;
+    if constexpr (Locate) vPeak = vZero;
+    for (std::size_t j = 1; j <= n; ++j) {
+      const std::uint8_t* pt = p.pos_tab(j);
+      const std::uint8_t* nt = p.neg_tab(j);
+      __m512i vPos = _mm512_shuffle_epi8(tab512(pt), vC);
+      __m512i vNeg = _mm512_shuffle_epi8(tab512(nt), vC);
+      if (wide_tab) {
+        vPos = _mm512_mask_shuffle_epi8(vPos, mHi, tab512(pt + 16), vC);
+        vNeg = _mm512_mask_shuffle_epi8(vNeg, mHi, tab512(nt + 16), vC);
+      }
+      const __m512i vUp = _mm512_loadu_si512(h + j * L);
+      const __m512i vSat = _mm512_adds_epu8(vDiag, vPos);
+      if constexpr (!Locate) {
+        vOvf = _mm512_or_si512(vOvf, _mm512_xor_si512(vSat, _mm512_add_epi8(vDiag, vPos)));
+      }
+      __m512i vH = _mm512_subs_epu8(vSat, vNeg);
+      vH = _mm512_max_epu8(vH, _mm512_subs_epu8(vUp, vGap));
+      vH = _mm512_max_epu8(vH, _mm512_subs_epu8(vLeft, vGap));
+      _mm512_storeu_si512(h + j * L, vH);
+      vPeak = _mm512_max_epu8(vPeak, vH);
+      vDiag = vUp;
+      vLeft = vH;
+    }
+    if constexpr (Locate) {
+      const std::uint64_t trig = _mm512_cmpeq_epi8_mask(vPeak, vIn);
+      if (trig != 0) locate_lanes<L>(trig, h, n, ws);
+    }
+  }
+  if constexpr (!Locate) {
+    _mm512_storeu_si512(ws.peak.data(), vPeak);
+    _mm512_storeu_si512(ws.ovf.data(), vOvf);
+  }
+}
+
 }  // namespace
 
 #endif  // SWR_INTERSEQ_X86
@@ -373,7 +448,9 @@ InterSeqStats drive(const InterSeqProfile& profile, InterSeqWorkspace& ws,
     ++stats.batches;
     ++stats.occupancy[live_count];
 #if SWR_INTERSEQ_X86
-    if (L == 32) {
+    if (L == 64) {
+      advance_avx512<Locate>(profile, ws, steps);
+    } else if (L == 32) {
       advance_avx2<Locate>(profile, ws, steps);
     } else {
       advance_sse41<Locate>(profile, ws, steps);

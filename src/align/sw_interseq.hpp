@@ -3,8 +3,9 @@
 // independent subjects past one resident query.
 //
 // Where the striped kernels (align/sw_striped.hpp) split ONE record's
-// query columns across lanes, this kernel packs 16 (SSE4.1) or 32 (AVX2)
-// DIFFERENT database records into the 8-bit lanes of one vector and
+// query columns across lanes, this kernel packs 16 (SSE4.1), 32 (AVX2) or
+// 64 (AVX-512BW) DIFFERENT database records into the 8-bit lanes of one
+// vector and
 // advances all of them one database row at a time: per step, lane l
 // consumes the next residue of its own record and the whole vector sweeps
 // the query columns left to right. The layout is vertical — the DP state
@@ -14,7 +15,10 @@
 // horizontal-gap dependency is just the carried register of the previous
 // column. The per-column substitution scores are gathered with one or two
 // pshufb table lookups (the per-lane residue codes are loop-invariant
-// across the columns of a step).
+// across the columns of a step); the 64-lane body selects the high table
+// of a 32-slot pair with a masked shuffle instead of a blend. Only this
+// shape has a 64-lane kernel: the striped shape and its 16-bit re-run top
+// out at 32 lanes.
 //
 // Lanes run different-length records, so the driver refills a lane the
 // moment its record retires: `sw_interseq_scan` pulls records through a
@@ -69,8 +73,9 @@ namespace swr::align {
 /// GCC/Clang — the same gate as sw_striped_compiled()).
 bool sw_interseq_compiled() noexcept;
 
-/// Widest lane count the hardware can drive right now: 32 (AVX2), 16
-/// (SSE4.1) or 0 (no usable ISA / not compiled).
+/// Widest lane count the hardware can drive right now: 64 (AVX-512F +
+/// AVX-512BW — the one gate core::SimdIsa::Avx512 also reads), 32 (AVX2),
+/// 16 (SSE4.1) or 0 (no usable ISA / not compiled).
 unsigned sw_interseq_max_lanes() noexcept;
 
 /// Per-query lookup tables for the inter-sequence kernel: for every query
@@ -80,7 +85,7 @@ unsigned sw_interseq_max_lanes() noexcept;
 /// neg 0xFF — pins the lane's cells to zero without ever carrying).
 class InterSeqProfile {
  public:
-  /// `lanes8` is 16 (SSE4.1) or 32 (AVX2).
+  /// `lanes8` is 16 (SSE4.1), 32 (AVX2) or 64 (AVX-512BW).
   /// @throws std::invalid_argument on invalid scoring or lane count.
   InterSeqProfile(const seq::Sequence& query, const Scoring& sc, unsigned lanes8);
 
@@ -132,8 +137,8 @@ class InterSeqProfile {
 };
 
 /// Maximum lane count across ISAs — per-lane state arrays are fixed at
-/// this size (the upper half idles at 16 lanes).
-inline constexpr unsigned kInterSeqMaxLanes = 32;
+/// this size (the upper lanes idle at 16 and 32 lanes).
+inline constexpr unsigned kInterSeqMaxLanes = 64;
 
 /// Per-worker scratch + hot per-lane state for one in-flight lane batch.
 /// The kernel reads/writes these directly; the driver owns lifecycle
@@ -141,12 +146,12 @@ inline constexpr unsigned kInterSeqMaxLanes = 32;
 /// allocation.
 struct InterSeqWorkspace {
   std::vector<std::uint8_t> h;  ///< (n+1) * lanes, column-major: h[j*L + l]
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> codes{};  ///< per-step gather
+  alignas(64) std::array<std::uint8_t, kInterSeqMaxLanes> codes{};  ///< per-step gather
   /// Scan: each lane's running max over its record so far. Locate: each
   /// lane's known final score — the value a row max must equal before
   /// that lane's row is rescanned.
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> peak{};
-  alignas(32) std::array<std::uint8_t, kInterSeqMaxLanes> ovf{};  ///< sticky overflow flags
+  alignas(64) std::array<std::uint8_t, kInterSeqMaxLanes> peak{};
+  alignas(64) std::array<std::uint8_t, kInterSeqMaxLanes> ovf{};  ///< sticky overflow flags
   std::array<const seq::Code*, kInterSeqMaxLanes> cur{};  ///< next residue (null = dead lane)
   std::array<const seq::Code*, kInterSeqMaxLanes> end{};
   std::array<std::uint64_t, kInterSeqMaxLanes> row{};  ///< record rows computed so far

@@ -51,10 +51,11 @@ StripedProfile::StripedProfile(const seq::Sequence& query, const Scoring& sc, un
 
 StripedProfile::StripedProfile(std::span<const seq::Code> query, const Scoring& sc,
                                unsigned lanes8, std::size_t alphabet_size)
-    : n_(query.size()), lanes8_(lanes8) {
+    : n_(query.size()), lanes8_(std::min(lanes8, 32u)) {
   sc.validate();
-  if (lanes8 != 16 && lanes8 != 32) {
-    throw std::invalid_argument("StripedProfile: lane count must be 16 (SSE4.1) or 32 (AVX2)");
+  if (lanes8 != 16 && lanes8 != 32 && lanes8 != 64) {
+    throw std::invalid_argument(
+        "StripedProfile: lane count must be 16 (SSE4.1), 32 (AVX2) or 64 (AVX-512BW)");
   }
   const Magnitudes m = scheme_magnitudes(sc);
   fits8_ = m.max_sub <= 0xFF && -m.min_sub <= 0xFF && m.gap_mag <= 0xFF;

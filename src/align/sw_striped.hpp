@@ -65,7 +65,10 @@ bool sw_striped_compiled() noexcept;
 /// vector width.
 class StripedProfile {
  public:
-  /// `lanes8` is the 8-bit lane count: 16 (SSE4.1) or 32 (AVX2).
+  /// `lanes8` is the 8-bit lane count: 16 (SSE4.1) or 32 (AVX2). 64
+  /// (the AVX-512BW inter-seq width) is accepted and lays out for 32
+  /// lanes: there is no 64-lane striped kernel, so AVX-512 hosts run the
+  /// AVX2 striped kernels and lanes8() reports 32.
   /// @throws std::invalid_argument on invalid scoring or lane count.
   StripedProfile(const seq::Sequence& query, const Scoring& sc, unsigned lanes8);
 

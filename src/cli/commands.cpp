@@ -207,6 +207,7 @@ host::SimdPolicy simd_policy_by_name(const std::string& name) {
     case core::SimdIsa::Swar8: return host::SimdPolicy::Swar8;
     case core::SimdIsa::Sse41: return host::SimdPolicy::Sse41;
     case core::SimdIsa::Avx2: return host::SimdPolicy::Avx2;
+    case core::SimdIsa::Avx512: return host::SimdPolicy::Avx512;
   }
   throw ArgError("unknown simd policy '" + name + "' (choices: " +
                  core::simd_isa_choices() + ")");
@@ -766,7 +767,8 @@ int cmd_swdb(const std::vector<std::string>& argv, std::ostream& out) {
         out << "  \"record_length\": {\"min\": " << st.min_length << ", \"max\": "
             << st.max_length << ", \"median\": " << st.median_length << "},\n";
         out << "  \"interseq_occupancy\": {\"lanes16\": " << st.occupancy16
-            << ", \"lanes32\": " << st.occupancy32 << "},\n";
+            << ", \"lanes32\": " << st.occupancy32 << ", \"lanes64\": " << st.occupancy64
+            << "},\n";
       } else {
         out << "  \"record_length\": null,\n  \"interseq_occupancy\": null,\n";
       }
@@ -807,7 +809,8 @@ int cmd_swdb(const std::vector<std::string>& argv, std::ostream& out) {
       std::ostringstream occ;
       occ.precision(1);
       occ << std::fixed << "  interseq lane occupancy: " << st.occupancy16 * 100.0
-          << "% @16 lanes, " << st.occupancy32 * 100.0 << "% @32 lanes\n";
+          << "% @16 lanes, " << st.occupancy32 * 100.0 << "% @32 lanes, "
+          << st.occupancy64 * 100.0 << "% @64 lanes\n";
       out << occ.str();
     }
     if (store.has_kmer_index()) {
@@ -977,7 +980,7 @@ std::string usage() {
          "                       [--alphabet ...] [--engine auto|accel|cpu|board] [--threads N]\n"
          "                       [--sched auto|dense|event] [--board-device xc2vp70|...]\n"
          "                       [--boards N (with --engine board: fleet size)]\n"
-         "                       [--simd auto|scalar|swar16|swar8|sse41|avx2]\n"
+         "                       [--simd auto|scalar|swar16|swar8|sse41|avx2|avx512]\n"
          "                       [--kernel auto|striped|interseq] [--numa off|auto|fake:<spec>]\n"
          "                       [--filter exact|seeded] [--filter-threshold S]\n"
          "                       [--align [--max-hits K]] [--format text|tsv|pretty]\n"

@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <stdexcept>
 
+#include "align/sw_interseq.hpp"
+
 namespace swr::core {
 
 namespace {
@@ -24,6 +26,8 @@ bool hardware_supports(SimdIsa isa) noexcept {
       return __builtin_cpu_supports("sse4.1") != 0;
     case SimdIsa::Avx2:
       return __builtin_cpu_supports("avx2") != 0;
+    case SimdIsa::Avx512:
+      return align::sw_interseq_max_lanes() >= 64;
   }
   return false;
 }
@@ -49,11 +53,12 @@ const char* simd_isa_name(SimdIsa isa) noexcept {
     case SimdIsa::Swar8: return "swar8";
     case SimdIsa::Sse41: return "sse41";
     case SimdIsa::Avx2: return "avx2";
+    case SimdIsa::Avx512: return "avx512";
   }
   return "unknown";
 }
 
-const char* simd_isa_choices() noexcept { return "auto|scalar|swar16|swar8|sse41|avx2"; }
+const char* simd_isa_choices() noexcept { return "auto|scalar|swar16|swar8|sse41|avx2|avx512"; }
 
 std::optional<SimdIsa> parse_simd_isa(std::string_view name) {
   if (name.empty() || name == "auto") return std::nullopt;
@@ -62,12 +67,13 @@ std::optional<SimdIsa> parse_simd_isa(std::string_view name) {
   if (name == "swar8") return SimdIsa::Swar8;
   if (name == "sse41") return SimdIsa::Sse41;
   if (name == "avx2") return SimdIsa::Avx2;
+  if (name == "avx512") return SimdIsa::Avx512;
   throw std::invalid_argument("unknown simd policy '" + std::string(name) +
                               "' (choices: " + simd_isa_choices() + ")");
 }
 
 bool cpu_supports(SimdIsa isa) noexcept {
-  if (isa == SimdIsa::Sse41 || isa == SimdIsa::Avx2) {
+  if (isa == SimdIsa::Sse41 || isa == SimdIsa::Avx2 || isa == SimdIsa::Avx512) {
     if (!kStripedCompiled) return false;
   }
   // __builtin_cpu_supports resolves against a cached model after libgcc's
@@ -77,6 +83,7 @@ bool cpu_supports(SimdIsa isa) noexcept {
 
 SimdIsa detected_simd_isa() noexcept {
   static const SimdIsa widest = [] {
+    if (cpu_supports(SimdIsa::Avx512)) return SimdIsa::Avx512;
     if (cpu_supports(SimdIsa::Avx2)) return SimdIsa::Avx2;
     if (cpu_supports(SimdIsa::Sse41)) return SimdIsa::Sse41;
     return SimdIsa::Swar8;

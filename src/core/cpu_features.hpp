@@ -1,8 +1,9 @@
 // Runtime CPU-feature detection and SIMD kernel-selection policy.
 //
 // The scan engine's kernel ladder spans lane widths from the portable
-// scalar query-profile kernel up to the 32-lane AVX2 striped kernel
-// (align/sw_striped.hpp). Which rung is usable depends on the machine the
+// scalar query-profile kernel (1 lane) up to the 64-lane AVX-512BW
+// inter-sequence kernel (align/sw_interseq.hpp); the striped kernels
+// (align/sw_striped.hpp) stop at 32 AVX2 lanes. Which rung is usable depends on the machine the
 // binary LANDS on, not the one it was built on, so selection is a runtime
 // decision: CPUID (via __builtin_cpu_supports) answers what the hardware
 // can do, and this module turns that answer plus the operator's wishes
@@ -11,7 +12,8 @@
 // Policy, in order of precedence:
 //   1. an explicit `--simd` value on the command line;
 //   2. the `SWR_SIMD` environment variable (scalar|swar16|swar8|sse41|
-//      avx2|auto) — the CI matrix pins each rung of the ladder with it;
+//      avx2|avx512|auto) — the CI matrix pins each rung of the ladder
+//      with it;
 //   3. auto: the widest ISA the CPU supports.
 // A request the CPU cannot honour degrades to the widest supported rung
 // below it with a one-time warning — it never crashes and never silently
@@ -27,21 +29,24 @@
 namespace swr::core {
 
 /// SIMD instruction tiers for the CPU scan kernels, ordered narrow to
-/// wide by 8-bit lane count: 1, 4, 8, 16, 32.
+/// wide by 8-bit lane count: 1, 4, 8, 16, 32, 64.
 enum class SimdIsa : unsigned {
   Scalar = 0,  ///< query-profile scalar kernel (always available)
   Swar16 = 1,  ///< four 16-bit lanes in a uint64_t (always available)
   Swar8 = 2,   ///< eight 8-bit lanes in a uint64_t (always available)
   Sse41 = 3,   ///< sixteen 8-bit lanes, striped (__m128i, needs SSE4.1)
   Avx2 = 4,    ///< thirty-two 8-bit lanes, striped (__m256i, needs AVX2)
+  /// sixty-four 8-bit inter-sequence lanes (__m512i, needs AVX-512F +
+  /// AVX-512BW); the striped shape and 16-bit re-runs ride the AVX2 kernels
+  Avx512 = 5,
 };
 
 /// Canonical lower-case name ("scalar", "swar16", "swar8", "sse41",
-/// "avx2").
+/// "avx2", "avx512").
 const char* simd_isa_name(SimdIsa isa) noexcept;
 
 /// The accepted spelling list, for error messages:
-/// "auto|scalar|swar16|swar8|sse41|avx2".
+/// "auto|scalar|swar16|swar8|sse41|avx2|avx512".
 const char* simd_isa_choices() noexcept;
 
 /// Parses a policy name. "auto" and the empty string yield nullopt (= let
@@ -52,7 +57,7 @@ std::optional<SimdIsa> parse_simd_isa(std::string_view name);
 /// True when this machine can execute `isa` (CPUID, cached after the
 /// first call). Scalar/Swar16/Swar8 are always true; Sse41/Avx2 require
 /// both x86 hardware support and a compiler that could build the striped
-/// kernels.
+/// kernels; Avx512 is align::sw_interseq_max_lanes() reaching 64.
 bool cpu_supports(SimdIsa isa) noexcept;
 
 /// Widest ISA this machine supports (one-time CPUID, cached).
@@ -82,8 +87,9 @@ SimdIsa auto_simd_isa();
 /// Scan kernel *shape* — orthogonal to the SimdIsa lane-width ladder.
 /// The striped shape splits one record's query columns across lanes; the
 /// inter-sequence shape packs a different database record into every lane
-/// (align/sw_interseq.hpp). Only the native-vector tiers (Sse41/Avx2)
-/// have both shapes; the SWAR/scalar tiers are striped-shaped only.
+/// (align/sw_interseq.hpp). Only the native-vector tiers (Sse41/Avx2/
+/// Avx512) have both shapes — Avx512's striped shape is the AVX2 striped
+/// kernel; the SWAR/scalar tiers are striped-shaped only.
 enum class KernelShape : unsigned {
   Auto,      ///< inter-sequence for store-backed scans when usable, else striped
   Striped,   ///< one record at a time, query columns across lanes

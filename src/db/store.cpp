@@ -121,6 +121,10 @@ Store Store::open(const std::string& path, obs::Registry* metrics, bool populate
   s.names_ = reinterpret_cast<const char*>(s.data_ + names_off);
   s.payload_ = s.data_ + payload_off;
 
+  // The schedule order must be a permutation: a repeated id would make a
+  // scan visit one record twice and skip another without any error. n
+  // in-range entries with no repeat cover every id exactly once.
+  std::vector<bool> scheduled(n, false);
   for (std::size_t r = 0; r < n; ++r) {
     const RecordMeta& m = s.meta_[r];
     const std::size_t rb = record_bytes(s.encoding(), m.length);
@@ -131,6 +135,10 @@ Store Store::open(const std::string& path, obs::Registry* metrics, bool populate
       fail(path, "record " + std::to_string(r) + " name range out of bounds");
     }
     if (s.order_[r] >= n) fail(path, "schedule order entry out of range");
+    if (scheduled[s.order_[r]]) {
+      fail(path, "schedule order repeats record " + std::to_string(s.order_[r]));
+    }
+    scheduled[s.order_[r]] = true;
   }
 
   // Format v2: the k-mer index section trails the payload. Same contract
@@ -404,6 +412,7 @@ ScheduleStats schedule_stats(const Store& store) {
   st.median_length = store.length(order[order.size() / 2]);
   st.occupancy16 = predicted_occupancy(store, order, 16);
   st.occupancy32 = predicted_occupancy(store, order, 32);
+  st.occupancy64 = predicted_occupancy(store, order, 64);
   return st;
 }
 

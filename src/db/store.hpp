@@ -234,10 +234,12 @@ struct ScheduleStats {
   std::size_t max_length = 0;
   /// Predicted inter-sequence lane occupancy (useful lane-steps / total
   /// lane-steps, 0..1) when the scan engine's dynamic lane refill walks
-  /// schedule_order at 16 and at 32 lanes. Modelled as greedy
-  /// first-lane-to-retire assignment — exactly what the refill loop does.
+  /// schedule_order at 16, 32 and 64 lanes (SSE4.1, AVX2, AVX-512BW).
+  /// Modelled as greedy first-lane-to-retire assignment — exactly what
+  /// the refill loop does.
   double occupancy16 = 0.0;
   double occupancy32 = 0.0;
+  double occupancy64 = 0.0;
 };
 
 /// Computes ScheduleStats from the store's metadata (lengths + schedule

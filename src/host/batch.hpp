@@ -56,6 +56,7 @@ enum class SimdPolicy {
   Swar8,   ///< eight 8-bit lanes in a uint64_t with saturation-detect + lazy 16-bit re-run
   Sse41,   ///< sixteen 8-bit striped lanes (__m128i) + lazy 16-bit striped re-run
   Avx2,    ///< thirty-two 8-bit striped lanes (__m256i) + lazy 16-bit striped re-run
+  Avx512,  ///< sixty-four 8-bit inter-seq lanes (__m512i); striped shape as Avx2
 };
 
 /// Scan kernel shape (core/cpu_features.hpp), orthogonal to SimdPolicy:
@@ -167,8 +168,8 @@ bool dust_suppressed(const seq::Sequence& rec, const align::Cell& end, const Sca
 /// swar8_fallbacks how many records saturated the 8-bit lanes (SWAR or
 /// striped — the saturation predicate is identical, "some true cell
 /// value > 255", so the count does not depend on which 8-bit kernel ran)
-/// and lazily re-ran one tier down (CPU engine, Auto/Swar8/Sse41/Avx2
-/// policies only — always 0 for the accelerator model and the
+/// and lazily re-ran one tier down (CPU engine, Auto/Swar8/Sse41/Avx2/
+/// Avx512 policies only — always 0 for the accelerator model and the
 /// scalar/16-bit policies).
 struct ScanResult {
   std::vector<Hit> hits;          ///< ranked best-first, size <= top_k

@@ -36,8 +36,9 @@ namespace swr::host {
 
 /// Every profile one scan can need, built together so the cache key is
 /// uniform: `lanes8` == 0 carries only the scalar profile (scalar/SWAR
-/// policies); 16/32 adds the striped profile and — when the inter-seq
-/// kernel is compiled wide enough — the inter-seq profile.
+/// policies); 16/32/64 adds the striped profile (64 lays out for the
+/// 32-lane AVX2 striped kernels) and — when the inter-seq kernel runs that
+/// wide here — the inter-seq profile at `lanes8`.
 struct ProfileBundle {
   ProfileBundle(const seq::Sequence& query, const align::Scoring& sc, unsigned lanes8);
 

@@ -37,6 +37,7 @@ core::SimdIsa policy_to_isa(SimdPolicy p) {
     case SimdPolicy::Swar8: return core::SimdIsa::Swar8;
     case SimdPolicy::Sse41: return core::SimdIsa::Sse41;
     case SimdPolicy::Avx2: return core::SimdIsa::Avx2;
+    case SimdPolicy::Avx512: return core::SimdIsa::Avx512;
     case SimdPolicy::Auto: break;
   }
   throw std::invalid_argument("scan_database_cpu: unknown SIMD policy");
@@ -49,6 +50,7 @@ SimdPolicy isa_to_policy(core::SimdIsa isa) {
     case core::SimdIsa::Swar8: return SimdPolicy::Swar8;
     case core::SimdIsa::Sse41: return SimdPolicy::Sse41;
     case core::SimdIsa::Avx2: return SimdPolicy::Avx2;
+    case core::SimdIsa::Avx512: return SimdPolicy::Avx512;
   }
   throw std::invalid_argument("scan_database_cpu: unknown SIMD ISA");
 }
@@ -63,19 +65,19 @@ SimdPolicy resolve_simd_policy(SimdPolicy requested) {
   return isa_to_policy(core::effective_simd_isa(policy_to_isa(requested)));
 }
 
-// 8-bit lane count of the native-vector tier `policy` rides (meaningful
-// for Sse41/Avx2 only).
-unsigned interseq_lanes(SimdPolicy policy) { return policy == SimdPolicy::Avx2 ? 32u : 16u; }
-
 std::atomic<bool> warned_interseq_degrade{false};
 
 // 8-bit lane width the scan's ProfileBundle must carry for `policy`:
-// native-vector tiers need the striped (and, where compiled, inter-seq)
-// profiles at their lane count; scalar/SWAR tiers need only the scalar
-// query profile.
+// native-vector tiers need the inter-seq profile at their lane count (and
+// the striped profile, which lays 64 out as 32 — there is no 64-lane
+// striped kernel); scalar/SWAR tiers need only the scalar query profile.
 unsigned bundle_lanes(SimdPolicy policy) {
-  return (policy == SimdPolicy::Sse41 || policy == SimdPolicy::Avx2) ? interseq_lanes(policy)
-                                                                     : 0u;
+  switch (policy) {
+    case SimdPolicy::Sse41: return 16;
+    case SimdPolicy::Avx2: return 32;
+    case SimdPolicy::Avx512: return 64;
+    default: return 0;
+  }
 }
 
 // One ProfileBundle per scan, shared read-only by every worker: from the
@@ -124,7 +126,7 @@ ShapePlan resolve_kernel_shape(KernelShape requested, const ProfileBundle& bundl
       !warned_interseq_degrade.exchange(true)) {
     std::fprintf(stderr,
                  "SWR: requested kernel 'interseq' is unavailable for this scan "
-                 "(needs an sse41/avx2 policy, a scheme that fits 8-bit lanes and an "
+                 "(needs an sse41/avx2/avx512 policy, a scheme that fits 8-bit lanes and an "
                  "alphabet of at most 31 residues); degrading to 'striped'\n");
   }
   const bool use_interseq =
@@ -289,7 +291,7 @@ struct Worker {
 
   std::shared_ptr<const ProfileBundle> bundle;
   const align::QueryProfile* profile;    // scalar kernel + overflow ladder tail
-  const align::StripedProfile* striped;  // Sse41/Avx2 policies only
+  const align::StripedProfile* striped;  // Sse41/Avx2/Avx512 policies only
   std::vector<align::Score> row;  // scalar kernel DP row
   align::AntidiagWorkspace ws16;
   align::Antidiag8Workspace ws8;
@@ -452,6 +454,7 @@ align::LocalScoreResult score_record(std::span<const seq::Code> rec,
       return score_record(rec, query, sc, SimdPolicy::Swar16, w);
     case SimdPolicy::Sse41:
     case SimdPolicy::Avx2:
+    case SimdPolicy::Avx512:
       // Striped ladder, same lazy contract: the 8-bit pass saturates on
       // exactly the records swar8 would (some true cell > 255), so
       // swar8_fallbacks accounting is policy-independent; the 16-bit

@@ -1,5 +1,7 @@
 #include "seq/packed.hpp"
 
+#include <array>
+#include <cstring>
 #include <stdexcept>
 
 namespace swr::seq {
@@ -13,8 +15,27 @@ void pack2(std::span<const Code> codes, std::uint8_t* out) {
   }
 }
 
+namespace {
+
+// The four codes each packed byte holds, lowest bit pair first: one table
+// load per byte instead of four shift-and-mask steps.
+using Quad = std::array<Code, 4>;
+constexpr std::array<Quad, 256> kUnpack2 = [] {
+  std::array<Quad, 256> t{};
+  for (unsigned b = 0; b < 256; ++b) {
+    for (unsigned k = 0; k < 4; ++k) t[b][k] = static_cast<Code>((b >> (2 * k)) & 0x3u);
+  }
+  return t;
+}();
+
+}  // namespace
+
 void unpack2(const std::uint8_t* in, std::size_t n, Code* out) {
-  for (std::size_t i = 0; i < n; ++i) {
+  const std::size_t whole = n / 4;
+  for (std::size_t b = 0; b < whole; ++b) {
+    std::memcpy(out + 4 * b, kUnpack2[in[b]].data(), sizeof(Quad));
+  }
+  for (std::size_t i = 4 * whole; i < n; ++i) {
     out[i] = static_cast<Code>((in[i >> 2] >> ((i & 3u) * 2)) & 0x3u);
   }
 }

@@ -25,6 +25,7 @@ std::vector<unsigned> supported_lane_widths() {
   std::vector<unsigned> widths;
   if (core::cpu_supports(core::SimdIsa::Sse41)) widths.push_back(16);
   if (core::cpu_supports(core::SimdIsa::Avx2)) widths.push_back(32);
+  if (core::cpu_supports(core::SimdIsa::Avx512)) widths.push_back(64);
   return widths;
 }
 
@@ -79,11 +80,14 @@ TEST(InterSeqProfile, RejectsUnsupportedLaneCount) {
   const seq::Sequence q = seq::Sequence::dna("ACGT");
   EXPECT_THROW(InterSeqProfile(q, kSc, 8), std::invalid_argument);
   EXPECT_THROW(InterSeqProfile(q, kSc, 0), std::invalid_argument);
+  EXPECT_THROW(InterSeqProfile(q, kSc, 48), std::invalid_argument);
+  EXPECT_THROW(InterSeqProfile(q, kSc, 128), std::invalid_argument);
+  EXPECT_EQ(InterSeqProfile(q, kSc, 64).lanes8(), 64u);
 }
 
 TEST(InterSeqProfile, ColumnTablesHoldTheScalarScores) {
   const seq::Sequence q = swr::test::random_dna(23, 91);
-  for (const unsigned lanes : {16u, 32u}) {
+  for (const unsigned lanes : {16u, 32u, 64u}) {
     const InterSeqProfile p(q, kSc, lanes);
     ASSERT_TRUE(p.usable());
     EXPECT_EQ(p.table_slots(), 16u);  // DNA: 4 residues + neutral fits one pshufb
@@ -119,7 +123,8 @@ TEST(InterSeqBatch, EquivalenceSweepVsSwLinear) {
   // batch (the lane-refill machinery is exercised hardest when lengths
   // diverge), plus empty and 1-residue records in the middle.
   for (const unsigned lanes : supported_lane_widths()) {
-    for (const std::size_t count : {1u, 2u, 15u, 16u, 17u, 31u, 32u, 33u, 67u}) {
+    for (const std::size_t count :
+         {1u, 2u, 15u, 16u, 17u, 31u, 32u, 33u, 63u, 64u, 65u, 67u, 129u}) {
       std::mt19937_64 lens(count * 977 + lanes);
       std::uniform_int_distribution<std::size_t> len(0, 90);
       std::vector<seq::Sequence> records;
@@ -390,6 +395,60 @@ TEST(InterSeqLocate, UnreachableSeedReportsNoCell) {
     ASSERT_TRUE(cells.has_value());
     EXPECT_EQ((*cells)[0], Cell{});
   }
+}
+
+// The 64-lane AVX-512BW body on the inputs that reach its distinct
+// paths: a protein alphabet, whose 32-slot tables take the masked
+// high-half shuffle; the 255/256 saturation boundary; and more than two
+// lane generations, so the Locate pass refills all 64 lanes. Its scores,
+// cells and batching statistics must match the oracle and the 32-lane
+// kernel's.
+TEST(InterSeqBatch, SixtyFourLanesMatchOracleAndThirtyTwo) {
+  if (!core::cpu_supports(core::SimdIsa::Avx512)) GTEST_SKIP() << "no AVX-512BW on this host";
+  Scoring blosum;
+  blosum.matrix = &blosum62();
+  std::mt19937_64 lens(6464);
+  std::uniform_int_distribution<std::size_t> len(0, 120);
+  std::vector<seq::Sequence> protein;
+  for (std::size_t r = 0; r < 150; ++r) {
+    protein.push_back(swr::test::random_protein(len(lens), 6400 + r));
+  }
+  const seq::Sequence pq = swr::test::random_protein(60, 6399);
+  // Plant the query in a few records: high scores beside the random ones.
+  for (std::size_t r = 7; r < protein.size(); r += 37) protein[r].append(pq);
+
+  const seq::Sequence q300 = swr::test::random_dna(300, 6401);
+  std::vector<seq::Sequence> dna;
+  for (const std::size_t score : {254u, 255u, 256u, 300u}) {
+    dna.push_back(q300.subsequence(0, score));
+  }
+  for (std::size_t r = 0; r < 130; ++r) {
+    dna.push_back(swr::test::random_dna(10 + r % 90, 6500 + r));
+  }
+
+  const auto check = [](const std::vector<seq::Sequence>& records, const seq::Sequence& query,
+                         const Scoring& sc, const std::string& what) {
+    ASSERT_EQ(InterSeqProfile(query, sc, 64).table_slots(), sc.matrix ? 32u : 16u) << what;
+    InterSeqStats st64, st32;
+    expect_batch_matches_oracle(records, query, sc, 64, what + ", 64 lanes", &st64);
+    const auto wide = sw_interseq_batch(records, query, sc, 64);
+    const auto narrow = sw_interseq_batch(records, query, sc, 32, &st32);
+    ASSERT_TRUE(wide.has_value() && narrow.has_value()) << what;
+    EXPECT_EQ(*wide, *narrow) << what;
+    EXPECT_EQ(st64.fallbacks, st32.fallbacks) << what;
+    EXPECT_GT(st64.refills, 0u) << what;
+  };
+  check(protein, pq, blosum, "blosum62");
+  check(dna, q300, kSc, "dna");
+}
+
+TEST(InterSeqBatch, SixtyFourLanesWithoutAvx512ReturnOuterNullopt) {
+  if (core::cpu_supports(core::SimdIsa::Avx512)) GTEST_SKIP() << "host runs 64 lanes";
+  const std::vector<seq::Sequence> recs = {seq::Sequence::dna("ACGT")};
+  const Score one[] = {4};
+  EXPECT_FALSE(sw_interseq_batch(recs, seq::Sequence::dna("ACGT"), kSc, 64).has_value());
+  EXPECT_FALSE(
+      sw_interseq_locate_batch(recs, seq::Sequence::dna("ACGT"), kSc, 64, one).has_value());
 }
 
 }  // namespace

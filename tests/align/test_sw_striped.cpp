@@ -35,6 +35,26 @@ TEST(StripedProfile, RejectsUnsupportedLaneCount) {
   const seq::Sequence q = seq::Sequence::dna("ACGT");
   EXPECT_THROW(StripedProfile(q, kSc, 8), std::invalid_argument);
   EXPECT_THROW(StripedProfile(q, kSc, 0), std::invalid_argument);
+  EXPECT_THROW(StripedProfile(q, kSc, 128), std::invalid_argument);
+}
+
+TEST(StripedProfile, SixtyFourLanesLayOutForThirtyTwo) {
+  // The AVX-512 rung's bundle asks for 64 lanes; there is no 64-lane
+  // striped kernel, so the profile is the 32-lane AVX2 layout, slot for
+  // slot.
+  const seq::Sequence q = swr::test::random_dna(45, 72);
+  const StripedProfile p64(q, kSc, 64);
+  const StripedProfile p32(q, kSc, 32);
+  EXPECT_EQ(p64.lanes8(), 32u);
+  EXPECT_EQ(p64.lanes16(), 16u);
+  ASSERT_EQ(p64.stripes8(), p32.stripes8());
+  ASSERT_EQ(p64.stripes16(), p32.stripes16());
+  for (seq::Code c = 0; c < q.alphabet().size(); ++c) {
+    for (std::size_t k = 0; k < p32.stripes8() * 32; ++k) {
+      EXPECT_EQ(p64.pos8(c)[k], p32.pos8(c)[k]);
+      EXPECT_EQ(p64.neg8(c)[k], p32.neg8(c)[k]);
+    }
+  }
 }
 
 TEST(StripedProfile, StripeInterleaveRoundTrip) {

@@ -169,8 +169,8 @@ TEST(CliSwdb, BuildInfoAndScanParity) {
 
 TEST(CliSwdb, InfoReportsScheduleStats) {
   // 7 equal-length records: median == min == max, and the predicted
-  // inter-sequence occupancy is exactly 7/16 and 7/32 (one batch, the
-  // empty lanes idle the whole makespan).
+  // inter-sequence occupancy is exactly 7/16, 7/32 and 7/64 (one batch,
+  // the empty lanes idle the whole makespan).
   seq::RandomSequenceGenerator gen(92);
   std::vector<seq::Sequence> recs;
   for (int k = 0; k < 7; ++k) {
@@ -182,7 +182,8 @@ TEST(CliSwdb, InfoReportsScheduleStats) {
   const RunResult info = run("swdb", {"info", swdb});
   EXPECT_EQ(info.code, 0) << info.err;
   EXPECT_NE(info.out.find("record length 120..120, median 120"), std::string::npos) << info.out;
-  EXPECT_NE(info.out.find("interseq lane occupancy: 43.8% @16 lanes, 21.9% @32 lanes"),
+  EXPECT_NE(info.out.find(
+                "interseq lane occupancy: 43.8% @16 lanes, 21.9% @32 lanes, 10.9% @64 lanes"),
             std::string::npos)
       << info.out;
 }

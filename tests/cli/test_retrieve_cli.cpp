@@ -184,7 +184,8 @@ TEST(AlignLegInfo, JsonReportCoversTheStore) {
   const RunResult r = run("swdb", {"info", f.db_swdb, "--json"});
   ASSERT_EQ(r.code, 0) << r.err;
   for (const char* key : {"\"format_version\"", "\"records\"", "\"residues\"",
-                          "\"record_length\"", "\"kmer_index\"", "\"payload_verified\""}) {
+                          "\"record_length\"", "\"lanes64\"", "\"kmer_index\"",
+                          "\"payload_verified\""}) {
     EXPECT_NE(r.out.find(key), std::string::npos) << key << " missing from:\n" << r.out;
   }
   EXPECT_EQ(r.out.front(), '{') << r.out;

@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 
+#include "align/sw_interseq.hpp"
 #include "align/sw_striped.hpp"
 #include "core/cpu_features.hpp"
 
@@ -46,6 +47,7 @@ TEST(CpuFeatures, ParseAcceptsEveryCanonicalName) {
   EXPECT_EQ(parse_simd_isa("swar8"), SimdIsa::Swar8);
   EXPECT_EQ(parse_simd_isa("sse41"), SimdIsa::Sse41);
   EXPECT_EQ(parse_simd_isa("avx2"), SimdIsa::Avx2);
+  EXPECT_EQ(parse_simd_isa("avx512"), SimdIsa::Avx512);
   EXPECT_EQ(parse_simd_isa("auto"), std::nullopt);
   EXPECT_EQ(parse_simd_isa(""), std::nullopt);
 }
@@ -57,13 +59,19 @@ TEST(CpuFeatures, ParseRejectsUnknownWithListedChoices) {
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("sse42"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("choices: auto|scalar|swar16|swar8|sse41|avx2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("choices: auto|scalar|swar16|swar8|sse41|avx2|avx512"), std::string::npos)
+        << msg;
   }
+}
+
+TEST(CpuFeatures, ChoicesListEveryRungNarrowToWide) {
+  EXPECT_STREQ(simd_isa_choices(), "auto|scalar|swar16|swar8|sse41|avx2|avx512");
+  EXPECT_STREQ(simd_isa_name(SimdIsa::Avx512), "avx512");
 }
 
 TEST(CpuFeatures, NameRoundTripsThroughParse) {
   for (const SimdIsa isa : {SimdIsa::Scalar, SimdIsa::Swar16, SimdIsa::Swar8, SimdIsa::Sse41,
-                            SimdIsa::Avx2}) {
+                            SimdIsa::Avx2, SimdIsa::Avx512}) {
     EXPECT_EQ(parse_simd_isa(simd_isa_name(isa)), isa);
   }
 }
@@ -77,20 +85,31 @@ TEST(CpuFeatures, PortableTiersAlwaysSupported) {
 TEST(CpuFeatures, SupportIsMonotonicInWidth) {
   // A CPU with AVX2 always has SSE4.1; detection must agree, and must
   // never report a striped tier the binary has no code for.
+  if (cpu_supports(SimdIsa::Avx512)) {
+    EXPECT_TRUE(cpu_supports(SimdIsa::Avx2));
+  }
   if (cpu_supports(SimdIsa::Avx2)) {
     EXPECT_TRUE(cpu_supports(SimdIsa::Sse41));
   }
   if (!swr::align::sw_striped_compiled()) {
     EXPECT_FALSE(cpu_supports(SimdIsa::Sse41));
     EXPECT_FALSE(cpu_supports(SimdIsa::Avx2));
+    EXPECT_FALSE(cpu_supports(SimdIsa::Avx512));
   }
+}
+
+TEST(CpuFeatures, Avx512IsTheSixtyFourLaneInterseqGate) {
+  // One gate: the Avx512 rung is usable exactly when the inter-sequence
+  // kernel can drive 64 lanes.
+  EXPECT_EQ(cpu_supports(SimdIsa::Avx512), swr::align::sw_interseq_max_lanes() == 64);
 }
 
 TEST(CpuFeatures, DetectedIsWidestSupported) {
   const SimdIsa d = detected_simd_isa();
   EXPECT_TRUE(cpu_supports(d));
   EXPECT_GE(static_cast<unsigned>(d), static_cast<unsigned>(SimdIsa::Swar8));
-  if (cpu_supports(SimdIsa::Avx2)) EXPECT_EQ(d, SimdIsa::Avx2);
+  if (cpu_supports(SimdIsa::Avx512)) EXPECT_EQ(d, SimdIsa::Avx512);
+  else if (cpu_supports(SimdIsa::Avx2)) EXPECT_EQ(d, SimdIsa::Avx2);
   else if (cpu_supports(SimdIsa::Sse41)) EXPECT_EQ(d, SimdIsa::Sse41);
   else EXPECT_EQ(d, SimdIsa::Swar8);
 }
@@ -113,9 +132,22 @@ TEST(CpuFeatures, ClampDegradesUnsupportedRequestWithWarning) {
   EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx2, SimdIsa::Sse41), SimdIsa::Sse41);
 }
 
+TEST(CpuFeatures, ClampDegradesAvx512ToAvx2WithWarning) {
+  // The pure clamp: an avx512 request on an AVX2-only host runs the AVX2
+  // rung and says so — testable on any runner.
+  std::string warning;
+  EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx512, SimdIsa::Avx2, &warning), SimdIsa::Avx2);
+  EXPECT_EQ(warning,
+            "SWR: requested simd 'avx512' is not supported on this CPU; degrading to 'avx2'");
+  EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx512, SimdIsa::Avx512, &warning), SimdIsa::Avx512);
+  EXPECT_TRUE(warning.empty());
+  EXPECT_EQ(clamp_simd_isa(SimdIsa::Avx2, SimdIsa::Avx512, &warning), SimdIsa::Avx2);
+  EXPECT_TRUE(warning.empty());
+}
+
 TEST(CpuFeatures, EffectiveNeverExceedsMachine) {
   for (const SimdIsa req : {SimdIsa::Scalar, SimdIsa::Swar16, SimdIsa::Swar8, SimdIsa::Sse41,
-                            SimdIsa::Avx2}) {
+                            SimdIsa::Avx2, SimdIsa::Avx512}) {
     const SimdIsa got = effective_simd_isa(req);
     EXPECT_TRUE(cpu_supports(got));
     EXPECT_LE(static_cast<unsigned>(got), static_cast<unsigned>(req));
@@ -154,10 +186,12 @@ TEST(CpuFeatures, BadEnvValueIsIgnoredNotFatal) {
 }
 
 TEST(CpuFeatures, EnvRequestAboveMachineDegrades) {
-  ScopedSimdEnv env("avx2");
-  const SimdIsa got = auto_simd_isa();
-  EXPECT_TRUE(cpu_supports(got));
-  EXPECT_LE(static_cast<unsigned>(got), static_cast<unsigned>(SimdIsa::Avx2));
+  for (const char* name : {"avx2", "avx512"}) {
+    ScopedSimdEnv env(name);
+    const SimdIsa got = auto_simd_isa();
+    EXPECT_TRUE(cpu_supports(got)) << name;
+    EXPECT_LE(static_cast<unsigned>(got), static_cast<unsigned>(*parse_simd_isa(name))) << name;
+  }
 }
 
 // Restores the prior SWR_KERNEL value on scope exit (same contract as

@@ -18,7 +18,9 @@ namespace {
 
 using namespace swr;
 
-std::string temp_path(const std::string& leaf) { return testing::TempDir() + "/" + leaf; }
+std::string temp_path(const std::string& leaf) {
+  return testing::TempDir() + "/" + test::unique_leaf(leaf);
+}
 
 std::vector<seq::Sequence> indexable_records() {
   std::vector<seq::Sequence> recs;

@@ -4,13 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
 #include "core/accelerator.hpp"
 #include "core/multiboard.hpp"
 #include "db/builder.hpp"
+#include "db/format.hpp"
 #include "db/store.hpp"
 #include "host/batch.hpp"
 #include "host/fleet_scan.hpp"
@@ -22,7 +25,9 @@ namespace {
 
 using namespace swr;
 
-std::string temp_path(const std::string& leaf) { return testing::TempDir() + "/" + leaf; }
+std::string temp_path(const std::string& leaf) {
+  return testing::TempDir() + "/" + test::unique_leaf(leaf);
+}
 
 std::vector<seq::Sequence> mixed_dna_records() {
   std::vector<seq::Sequence> recs;
@@ -250,6 +255,32 @@ TEST_F(SwdbCorruption, PayloadFlipCaughtByVerify) {
   EXPECT_THROW(store.verify_payload(), db::StoreError);
 }
 
+TEST_F(SwdbCorruption, ScheduleOrderRepeatRejected) {
+  // Rewrite one schedule_order entry to another in-range id: the section
+  // is no longer a permutation (one record twice, another never), which
+  // open must reject rather than let a scan silently skip a record. The
+  // section sits right after the header and the record table.
+  const std::size_t n = mixed_dna_records().size();
+  const std::size_t order_off = sizeof(db::FileHeader) + n * sizeof(db::RecordMeta);
+  ASSERT_LE(order_off + n * sizeof(std::uint32_t), bytes_.size());
+  std::mt19937_64 rng(1414);
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<char> bytes = bytes_;
+    const std::size_t slot = rng() % n;
+    std::uint32_t old_id = 0;
+    std::memcpy(&old_id, bytes.data() + order_off + slot * sizeof old_id, sizeof old_id);
+    const std::uint32_t new_id =
+        static_cast<std::uint32_t>((old_id + 1 + rng() % (n - 1)) % n);
+    ASSERT_NE(new_id, old_id);
+    std::memcpy(bytes.data() + order_off + slot * sizeof new_id, &new_id, sizeof new_id);
+    spit(path_, bytes);
+    EXPECT_THROW((void)db::Store::open(path_), db::StoreError)
+        << "slot " << slot << ": " << old_id << " -> " << new_id;
+  }
+  spit(path_, bytes_);
+  EXPECT_NO_THROW((void)db::Store::open(path_));
+}
+
 TEST_F(SwdbCorruption, MissingFileRejected) {
   EXPECT_THROW((void)db::Store::open(temp_path("does_not_exist.swdb")), db::StoreError);
 }
@@ -271,6 +302,7 @@ TEST(SwdbScheduleStats, KnownLengthsProduceExactStats) {
   // useful residues 60 — occupancy 60/(30*L) exactly.
   EXPECT_DOUBLE_EQ(st.occupancy16, 60.0 / (30.0 * 16.0));
   EXPECT_DOUBLE_EQ(st.occupancy32, 60.0 / (30.0 * 32.0));
+  EXPECT_DOUBLE_EQ(st.occupancy64, 60.0 / (30.0 * 64.0));
 }
 
 TEST(SwdbScheduleStats, EmptyStoreAndEmptyRecordsHandled) {
@@ -300,6 +332,8 @@ TEST(SwdbScheduleStats, EqualLengthsFillEveryLane) {
   const db::ScheduleStats st = db::schedule_stats(db::Store::open(path));
   EXPECT_DOUBLE_EQ(st.occupancy16, 1.0);
   EXPECT_DOUBLE_EQ(st.occupancy32, 1.0);
+  // 32 equal records leave half of 64 lanes idle for the whole batch.
+  EXPECT_DOUBLE_EQ(st.occupancy64, 0.5);
 }
 
 }  // namespace

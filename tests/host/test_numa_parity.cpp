@@ -22,13 +22,16 @@
 #include "obs/metrics.hpp"
 #include "seq/mutate.hpp"
 #include "seq/random.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace swr;
 using namespace swr::host;
 
-std::string temp_path(const std::string& leaf) { return testing::TempDir() + "/" + leaf; }
+std::string temp_path(const std::string& leaf) {
+  return testing::TempDir() + "/" + test::unique_leaf(leaf);
+}
 
 /// Scoped SWR_NUMA_FAKE override (restores the previous value) so the
 /// auto-mode cases are deterministic on any machine.

@@ -17,7 +17,9 @@ namespace {
 
 using namespace swr;
 
-std::string temp_path(const std::string& leaf) { return testing::TempDir() + "/" + leaf; }
+std::string temp_path(const std::string& leaf) {
+  return testing::TempDir() + "/" + test::unique_leaf(leaf);
+}
 
 // 30 unrelated records plus mutated copies of `query` at the given ids.
 std::vector<seq::Sequence> planted_db(const seq::Sequence& query,

@@ -35,7 +35,9 @@ namespace {
 using namespace swr;
 using namespace swr::host;
 
-std::string temp_path(const std::string& leaf) { return testing::TempDir() + "/" + leaf; }
+std::string temp_path(const std::string& leaf) {
+  return testing::TempDir() + "/" + test::unique_leaf(leaf);
+}
 
 db::Store build_open(const std::vector<seq::Sequence>& recs, const std::string& leaf,
                      bool index = true) {

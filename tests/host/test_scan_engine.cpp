@@ -24,14 +24,15 @@ const align::Scoring kSc = align::Scoring::paper_default();
 
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 constexpr SimdPolicy kPolicies[] = {SimdPolicy::Auto,  SimdPolicy::Scalar, SimdPolicy::Swar16,
-                                    SimdPolicy::Swar8, SimdPolicy::Sse41,  SimdPolicy::Avx2};
+                                    SimdPolicy::Swar8, SimdPolicy::Sse41,  SimdPolicy::Avx2,
+                                    SimdPolicy::Avx512};
 
 // Whether SimdPolicy::Auto resolves to an 8-bit-leading tier on this
 // host (it honours any SWR_SIMD override, like the engine itself does).
 bool auto_leads_with_bytes() {
   const core::SimdIsa isa = core::auto_simd_isa();
   return isa == core::SimdIsa::Swar8 || isa == core::SimdIsa::Sse41 ||
-         isa == core::SimdIsa::Avx2;
+         isa == core::SimdIsa::Avx2 || isa == core::SimdIsa::Avx512;
 }
 
 void expect_same_scan(const ScanResult& got, const ScanResult& want, const std::string& what) {
@@ -190,7 +191,8 @@ TEST(ScanEngine, Swar8FallbackCountSurfaced) {
     ScanOptions opt;
     opt.threads = threads;
     for (const SimdPolicy policy :
-         {SimdPolicy::Auto, SimdPolicy::Swar8, SimdPolicy::Sse41, SimdPolicy::Avx2}) {
+         {SimdPolicy::Auto, SimdPolicy::Swar8, SimdPolicy::Sse41, SimdPolicy::Avx2,
+          SimdPolicy::Avx512}) {
       opt.simd_policy = policy;
       const ScanResult r = scan_database_cpu(query, records, kSc, opt);
       // Auto counts a fallback only when it resolves to a byte-leading
@@ -307,7 +309,8 @@ TEST(ScanEngineKernelShape, StoreScanParityAndAutoSelectsInterseq) {
   // gate on the resolved tier like the engine does).
   const core::SimdIsa isa = core::auto_simd_isa();
   const bool interseq_expected =
-      (isa == core::SimdIsa::Sse41 || isa == core::SimdIsa::Avx2) &&
+      (isa == core::SimdIsa::Sse41 || isa == core::SimdIsa::Avx2 ||
+       isa == core::SimdIsa::Avx512) &&
       core::kernel_shape_env_override().value_or(KernelShape::Auto) != KernelShape::Striped;
   obs::Registry reg;
   ScanOptions mopt = opt;
@@ -338,7 +341,7 @@ TEST(ScanEngineKernelShape, InterseqFallbackCountExact) {
   records.push_back(std::move(hot));
 
   for (const std::size_t threads : kThreadCounts) {
-    for (const SimdPolicy policy : {SimdPolicy::Sse41, SimdPolicy::Avx2}) {
+    for (const SimdPolicy policy : {SimdPolicy::Sse41, SimdPolicy::Avx2, SimdPolicy::Avx512}) {
       ScanOptions opt;
       opt.threads = threads;
       opt.simd_policy = policy;

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "seq/packed.hpp"
 #include "test_util.hpp"
 
@@ -44,6 +47,50 @@ TEST(PackedDna, RejectsBadCodeAndNonDna) {
   PackedDna p;
   EXPECT_THROW(p.push_back(4), std::invalid_argument);
   EXPECT_THROW(PackedDna{Sequence::protein("AR")}, std::invalid_argument);
+}
+
+// unpack2's byte table against the plain shift loop: every byte value in
+// every quarter position, every tail length 0..7 past the whole bytes,
+// and starts at odd byte offsets so table and tail split differently.
+TEST(Unpack2, TableMatchesShiftLoopForEveryByteAndTail) {
+  std::vector<std::uint8_t> packed;
+  for (unsigned b = 0; b < 256; ++b) packed.push_back(static_cast<std::uint8_t>(b));
+  for (unsigned b = 0; b < 256; ++b) packed.push_back(static_cast<std::uint8_t>(b * 37 + 11));
+  packed.push_back(0xA5);
+  packed.push_back(0x3C);
+  const auto shift_loop = [](const std::uint8_t* in, std::size_t n) {
+    std::vector<Code> out(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = static_cast<Code>((in[i >> 2] >> ((i & 3u) * 2)) & 0x3u);
+    }
+    return out;
+  };
+  for (const std::size_t start : {0u, 1u, 3u, 7u}) {
+    const std::size_t avail = (packed.size() - start) * 4;
+    for (const std::size_t whole : {0u, 1u, 3u, 17u, 255u, 256u, 505u}) {
+      for (std::size_t tail = 0; tail < 8; ++tail) {
+        const std::size_t n = whole * 4 + tail;
+        if (n > avail) continue;
+        std::vector<Code> got(n + 1, 0xEE);  // one guard byte past the end
+        unpack2(packed.data() + start, n, got.data());
+        EXPECT_EQ(got.back(), 0xEE) << "wrote past n=" << n;
+        got.pop_back();
+        EXPECT_EQ(got, shift_loop(packed.data() + start, n))
+            << "start " << start << " n " << n;
+      }
+    }
+  }
+}
+
+TEST(Unpack2, RoundTripsPack2AtOddLengths) {
+  for (std::size_t n = 1; n <= 41; n += 2) {
+    const Sequence s = swr::test::random_dna(n, 2000 + n);
+    std::vector<std::uint8_t> packed(packed2_bytes(n));
+    pack2(s.codes(), packed.data());
+    std::vector<Code> out(n);
+    unpack2(packed.data(), n, out.data());
+    EXPECT_TRUE(std::equal(out.begin(), out.end(), s.codes().begin())) << "n " << n;
+  }
 }
 
 }  // namespace

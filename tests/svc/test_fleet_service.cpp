@@ -31,7 +31,7 @@ std::vector<seq::Sequence> fleet_records() {
 }
 
 db::Store open_fleet_store(const std::vector<seq::Sequence>& recs, const std::string& leaf) {
-  const std::string path = testing::TempDir() + "/" + leaf;
+  const std::string path = testing::TempDir() + "/" + test::unique_leaf(leaf);
   db::build_store(recs, path);
   return db::Store::open(path);
 }

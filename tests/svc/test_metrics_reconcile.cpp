@@ -197,7 +197,8 @@ TEST(MetricsReconcile, CoordsResolvedCountsLocatedHits) {
   const align::Scoring sc = align::Scoring::paper_default();
   const core::SimdIsa auto_isa = core::auto_simd_isa();
   const bool auto_score_only =
-      auto_isa == core::SimdIsa::Sse41 || auto_isa == core::SimdIsa::Avx2;
+      auto_isa == core::SimdIsa::Sse41 || auto_isa == core::SimdIsa::Avx2 ||
+      auto_isa == core::SimdIsa::Avx512;
 
   for (const host::SimdPolicy policy : {host::SimdPolicy::Auto, host::SimdPolicy::Scalar}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {

@@ -19,12 +19,15 @@
 #include "seq/mutate.hpp"
 #include "seq/random.hpp"
 #include "svc/scan_service.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using namespace swr;
 
-std::string temp_path(const std::string& leaf) { return testing::TempDir() + "/" + leaf; }
+std::string temp_path(const std::string& leaf) {
+  return testing::TempDir() + "/" + test::unique_leaf(leaf);
+}
 
 struct SvcDb {
   seq::Sequence query;

@@ -41,7 +41,7 @@ struct AlignDb {
 };
 
 db::Store open_store(const std::vector<seq::Sequence>& recs, const std::string& leaf) {
-  const std::string path = testing::TempDir() + "/" + leaf;
+  const std::string path = testing::TempDir() + "/" + test::unique_leaf(leaf);
   db::build_store(recs, path);
   return db::Store::open(path);
 }

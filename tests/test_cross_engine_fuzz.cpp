@@ -178,11 +178,14 @@ std::vector<seq::Sequence> degenerate_dna() {
   };
 }
 
-// Striped lane widths this machine can execute (empty off x86).
-std::vector<unsigned> striped_lane_widths() {
+// 8-bit lane widths this machine can execute (empty off x86). 64 is the
+// AVX-512BW inter-seq width; a striped profile asked for 64 lays out for
+// the 32-lane AVX2 striped kernels.
+std::vector<unsigned> lane_widths() {
   std::vector<unsigned> widths;
   if (core::cpu_supports(core::SimdIsa::Sse41)) widths.push_back(16);
   if (core::cpu_supports(core::SimdIsa::Avx2)) widths.push_back(32);
+  if (core::cpu_supports(core::SimdIsa::Avx512)) widths.push_back(64);
   return widths;
 }
 
@@ -194,7 +197,7 @@ void check_all_engines(const seq::Sequence& db, const seq::Sequence& query,
   EXPECT_EQ(align::sw_linear_profiled(db, query, sc), oracle) << "profiled " << ctx;
   EXPECT_EQ(align::sw_linear_antidiag(db, query, sc), oracle) << "swar16 " << ctx;
   EXPECT_EQ(align::sw_linear_antidiag8(db, query, sc), oracle) << "swar8 " << ctx;
-  for (const unsigned lanes : striped_lane_widths()) {
+  for (const unsigned lanes : lane_widths()) {
     EXPECT_EQ(align::sw_linear_striped(db, query, sc, lanes), oracle)
         << "striped" << lanes << " " << ctx;
     // Inter-sequence kernel, one-record batch: the exact score when it
@@ -343,7 +346,7 @@ TEST(CrossEngineDegenerate, StripedSaturationBoundaryExact) {
     align::Antidiag8Workspace ws8;
     const bool swar8_fits = align::sw_antidiag8_try(s.codes(), s.codes(), sc, ws8).has_value();
 
-    for (const unsigned lanes : striped_lane_widths()) {
+    for (const unsigned lanes : lane_widths()) {
       const std::string ctx = "match=" + std::to_string(c.match) +
                               " len=" + std::to_string(c.len) + " lanes=" + std::to_string(lanes);
       const align::StripedProfile profile(s, sc, lanes);
@@ -413,11 +416,13 @@ TEST(CrossEngineDegenerate, ScanParityAcrossPoliciesThreadsAndBoard) {
     const core::SimdIsa auto_isa = core::auto_simd_isa();
     const bool auto_leads_with_bytes = auto_isa == core::SimdIsa::Swar8 ||
                                        auto_isa == core::SimdIsa::Sse41 ||
-                                       auto_isa == core::SimdIsa::Avx2;
+                                       auto_isa == core::SimdIsa::Avx2 ||
+                                       auto_isa == core::SimdIsa::Avx512;
 
     for (const host::SimdPolicy policy :
          {host::SimdPolicy::Auto, host::SimdPolicy::Scalar, host::SimdPolicy::Swar16,
-          host::SimdPolicy::Swar8, host::SimdPolicy::Sse41, host::SimdPolicy::Avx2}) {
+          host::SimdPolicy::Swar8, host::SimdPolicy::Sse41, host::SimdPolicy::Avx2,
+          host::SimdPolicy::Avx512}) {
       for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         // The kernel shape joins the sweep: the inter-sequence kernel
         // (one record per 8-bit lane) must be output-identical to the
@@ -439,7 +444,7 @@ TEST(CrossEngineDegenerate, ScanParityAcrossPoliciesThreadsAndBoard) {
           expect_same_scan_hits(reference, r, ctx);
           EXPECT_EQ(r.records_scanned, records.size()) << ctx;
           EXPECT_EQ(r.cell_updates, reference.cell_updates) << ctx;
-          // Swar8, Sse41, Avx2 lead with an 8-bit kernel (SWAR, striped
+          // Swar8, Sse41, Avx2, Avx512 lead with an 8-bit kernel (SWAR, striped
           // or inter-sequence — identical saturation predicate), and an
           // unsupported striped request degrades no lower than Swar8:
           // exactly one lazy 16-bit re-run per saturating record,
@@ -447,7 +452,7 @@ TEST(CrossEngineDegenerate, ScanParityAcrossPoliciesThreadsAndBoard) {
           // it resolves to a byte-leading tier.
           const bool leads_with_bytes =
               policy == host::SimdPolicy::Swar8 || policy == host::SimdPolicy::Sse41 ||
-              policy == host::SimdPolicy::Avx2 ||
+              policy == host::SimdPolicy::Avx2 || policy == host::SimdPolicy::Avx512 ||
               (policy == host::SimdPolicy::Auto && auto_leads_with_bytes);
           EXPECT_EQ(r.swar8_fallbacks, leads_with_bytes ? saturated : 0u) << ctx;
         }
@@ -657,7 +662,7 @@ TEST(TieHeavyOracle, LocatePassRefillsLanesPastOneBatch) {
   for (std::size_t k = 0; records.size() < 3 * align::kInterSeqMaxLanes + 5; ++k) {
     records.push_back(c.records[k % c.records.size()]);
   }
-  for (const unsigned lanes : striped_lane_widths()) {
+  for (const unsigned lanes : lane_widths()) {
     const auto scores = align::sw_interseq_batch(records, c.query, c.sc, lanes);
     ASSERT_TRUE(scores.has_value());
     std::vector<align::Score> seeds;
