@@ -15,12 +15,19 @@
 //     column = pass offset + PE index + 1.
 //
 // Every cycle is a real hw::Simulator step — the cycle counts the
-// performance model quotes are measured on this model, not assumed.
+// performance model quotes are measured on this model, not assumed. The
+// one exception is the compute window of an unobserved event-scheduled
+// ScorePe array: SystolicArray::stream computes it in one burst and leaves
+// exactly the state the per-cycle steps would, and the simulator's clock
+// is advanced by the same n + N - 1 cycles. Observed runs (VCD tracing,
+// schedule tests) and the dense oracle always step.
 #pragma once
 
 #include <functional>
 #include <optional>
+#include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "core/config.hpp"
@@ -43,6 +50,9 @@ struct RunStats {
   std::uint64_t pe_slots = 0;        ///< raw PE-cycles incl. inactive pad PEs
   std::uint64_t saturations = 0;     ///< fixed-width overflow events
   std::size_t sram_peak_bytes = 0;   ///< board memory footprint of the job
+  std::uint64_t streamed_passes = 0; ///< compute windows run as one burst (stream())
+
+  friend bool operator==(const RunStats&, const RunStats&) = default;
 };
 
 /// Cycle-accurate controller for a SystolicArray<Pe>.
@@ -129,40 +139,25 @@ class ArrayController {
       const bool read_boundary = passes > 1 && pass > 0;
       const bool write_boundary = passes > 1 && pass + 1 < passes && chunk == npes;
 
-      // Stream the database; capture the boundary column as it emerges.
-      array_.set_mode(ArrayMode::Compute);
-      std::size_t rows_out = 0;
-      const std::uint64_t compute_start = sim_.cycle();
-      for (std::size_t t = 0; t < n + npes - 1; ++t) {
-        PeLink in;
-        if (t < n) {
-          in.base = sram_.read8(db_base + t);
-          if (read_boundary) {
-            in.score = static_cast<align::Score>(sram_.read32(rd + 8 * (t + 1)));
-            in.escore = static_cast<align::Score>(sram_.read32(rd + 8 * (t + 1) + 4));
-          } else {
-            in.score = 0;
-            in.escore = align::kNegInf;  // affine: no E layer left of column 0
-          }
-          in.valid = true;
-        }
-        array_.drive_input(in);
-        step();
-        if (array_.boundary_out().valid) {
-          ++rows_out;
-          if (write_boundary) {
-            sram_.write32(wr + 8 * rows_out,
-                          static_cast<std::uint32_t>(array_.boundary_out().score));
-            sram_.write32(wr + 8 * rows_out + 4,
-                          static_cast<std::uint32_t>(array_.boundary_out().escore));
-          }
+      // Gather the pass's stream from SRAM, then run the compute window and
+      // write back the boundary column it captured.
+      rows_.resize(n);
+      left_.assign(n, 0);
+      left_e_.assign(n, read_boundary ? 0 : align::kNegInf);  // affine: no E left of column 0
+      for (std::size_t i = 0; i < n; ++i) {
+        rows_[i] = sram_.read8(db_base + i);
+        if (read_boundary) {
+          left_[i] = static_cast<align::Score>(sram_.read32(rd + 8 * (i + 1)));
+          left_e_[i] = static_cast<align::Score>(sram_.read32(rd + 8 * (i + 1) + 4));
         }
       }
-      if (rows_out != n) {
-        throw std::logic_error("ArrayController: pipeline flush lost rows");
+      compute_window(write_boundary);
+      if (write_boundary) {
+        for (std::size_t i = 0; i < n; ++i) {
+          sram_.write32(wr + 8 * (i + 1), static_cast<std::uint32_t>(right_[i]));
+          sram_.write32(wr + 8 * (i + 1) + 4, static_cast<std::uint32_t>(right_e_[i]));
+        }
       }
-      stats_.compute_cycles += sim_.cycle() - compute_start;
-      stats_.pe_slots += static_cast<std::uint64_t>(npes) * (n + npes - 1);
 
       // Drain the (Bs, Bc) chain: one load edge, then N-1 shifts, sampling
       // the right end after every edge.
@@ -244,19 +239,11 @@ class ArrayController {
       stats_.load_cycles += packed_cols;
     }
 
-    array_.set_mode(ArrayMode::Compute);
-    const std::uint64_t compute_start = sim_.cycle();
-    for (std::size_t t = 0; t < n + npes - 1; ++t) {
-      PeLink in;
-      if (t < n) {
-        in.base = sram_.read8(db_base + t);
-        in.valid = true;
-      }
-      array_.drive_input(in);
-      step();
-    }
-    stats_.compute_cycles += sim_.cycle() - compute_start;
-    stats_.pe_slots += static_cast<std::uint64_t>(npes) * (n + npes - 1);
+    rows_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) rows_[i] = sram_.read8(db_base + i);
+    left_.assign(n, 0);
+    left_e_.assign(n, 0);
+    compute_window(/*capture=*/false);
 
     const std::uint64_t drain_start = sim_.cycle();
     array_.drive_input(PeLink{});
@@ -289,12 +276,57 @@ class ArrayController {
     if (observer_) observer_(array_, sim_.cycle());
   }
 
+  // One compute window: streams rows_ (left boundary left_/left_e_)
+  // through the array for n + N - 1 cycles; with `capture`, the right
+  // boundary column lands in right_/right_e_. Bursts through
+  // SystolicArray::stream when nothing observes individual clocks,
+  // otherwise steps cycle by cycle from the same buffers.
+  void compute_window(bool capture) {
+    const std::size_t n = rows_.size();
+    const std::size_t npes = array_.size();
+    const std::uint64_t cycles = n + npes - 1;
+    if (capture) {
+      right_.assign(n, 0);
+      right_e_.assign(n, 0);
+    }
+    array_.set_mode(ArrayMode::Compute);
+    stats_.compute_cycles += cycles;
+    stats_.pe_slots += static_cast<std::uint64_t>(npes) * cycles;
+    if constexpr (std::is_same_v<Pe, ScorePe>) {
+      if (!observer_ && array_.sched_mode() == hw::SchedMode::Event &&
+          array_.stream(rows_, left_, capture ? std::span<align::Score>(right_)
+                                              : std::span<align::Score>())) {
+        sim_.advance(cycles);
+        ++stats_.streamed_passes;
+        return;
+      }
+    }
+    std::size_t rows_out = 0;
+    for (std::size_t t = 0; t < cycles; ++t) {
+      PeLink in;
+      if (t < n) in = PeLink{rows_[t], left_[t], left_e_[t], true};
+      array_.drive_input(in);
+      step();
+      if (array_.boundary_out().valid) {
+        if (capture) {
+          right_[rows_out] = array_.boundary_out().score;
+          right_e_[rows_out] = array_.boundary_out().escore;
+        }
+        ++rows_out;
+      }
+    }
+    if (rows_out != n) throw std::logic_error("ArrayController: pipeline flush lost rows");
+  }
+
   Array array_;
   hw::Simulator sim_;
   hw::Sram sram_;
   bool charge_query_load_;
   RunStats stats_{};
   std::function<void(const Array&, std::uint64_t)> observer_;
+  // One pass's stream, gathered from SRAM once per pass.
+  std::vector<seq::Code> rows_;
+  std::vector<align::Score> left_, left_e_, right_, right_e_;
 };
 
 }  // namespace swr::core

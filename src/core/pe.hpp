@@ -87,6 +87,8 @@ class ScorePe {
   /// final partial chunk are inactive and masked out of the drain fold).
   [[nodiscard]] bool active() const noexcept { return active_; }
   [[nodiscard]] bool barrier() const noexcept { return barrier_; }
+  /// The resident query base (SP register).
+  [[nodiscard]] seq::Code query_base() const noexcept { return sp_; }
 
   /// Combinational phase.
   void evaluate(ArrayMode mode, const PeLink& in, const DrainSlot& drain_in,
@@ -151,6 +153,23 @@ class ScorePe {
     bc_.commit();
     out_.commit();
     drain_.commit();
+  }
+
+  /// Latches a whole register state at once (current and staged value) —
+  /// the write-back of a burst compute window, which computes many clocks
+  /// of this PE outside evaluate()/commit() (SystolicArray::stream).
+  void restore(align::Score a, align::Score b, std::uint64_t cl, align::Score bs,
+               std::uint64_t bc, const PeLink& out) noexcept {
+    const auto latch = [](auto& reg, const auto& v) {
+      reg.set_next(v);
+      reg.commit();
+    };
+    latch(a_, a);
+    latch(b_, b);
+    latch(cl_, cl);
+    latch(bs_, bs);
+    latch(bc_, bc);
+    latch(out_, out);
   }
 
   /// Per-pass reset (A, B, Cl, Bs, Bc back to zero; SP survives until the

@@ -25,6 +25,16 @@
 // non-architectural divergence: during a drain, inner PEs' drain_slot()
 // registers go stale (the chain is virtualised); only drain_out() — the
 // port the controller samples — is maintained.
+//
+// Burst compute window (ScorePe, event mode): stream() clocks a whole
+// compute window — every row of one pass plus the pipeline flush — in one
+// call, as an int16 structure-of-arrays wavefront sweep (wavefront_sweep.hpp),
+// and then writes back exactly the PE registers, event bookkeeping and
+// evaluation count that stepping the window cycle by cycle leaves. It runs
+// only when a bound on the window's scores proves that no SatArith add
+// can clamp and every value fits int16; otherwise it declines with the
+// state untouched and the caller steps. The controller bursts only when no
+// per-cycle observer is attached, so traces still see every clock.
 #pragma once
 
 #include <algorithm>
@@ -36,6 +46,7 @@
 #include <vector>
 
 #include "core/pe.hpp"
+#include "core/wavefront_sweep.hpp"
 #include "hw/module.hpp"
 #include "hw/satarith.hpp"
 #include "hw/sched.hpp"
@@ -78,6 +89,100 @@ class SystolicArray final : public hw::Module {
         drain_snapshot_(n) {
     if (n == 0) throw std::invalid_argument("SystolicArray: zero PEs");
     scoring_.validate();
+  }
+
+  /// Burst compute window (ScorePe arrays): equivalent to setting the mode
+  /// to Compute and clocking rows.size() + N - 1 cycles with row i driven
+  /// as {rows[i], left[i] (0 when `left` is empty), valid} and an idle
+  /// link after the last row — the controller's compute loop. When `right`
+  /// is non-empty it receives the score boundary_out() carries for each
+  /// row. Returns false, with the state untouched, unless the scheduler is
+  /// event, no strobe is in flight, every score input is >= 0,
+  /// 1 <= rows.size() < 2^31, and the window provably never saturates and
+  /// fits int16: with start = max(0, every PE's A/B/Bs/out score, every
+  /// left score) and M = max(max substitution, 0), every cell is at most
+  /// U = start + N*M (induction over columns), so U + M <= min(sat.max,
+  /// 32767) and min substitution, gap >= max(sat.min, -32768) suffice.
+  /// The caller advances its simulator by the window's cycle count.
+  /// @throws std::invalid_argument when left/right are neither empty nor
+  /// rows.size() long.
+  bool stream(std::span<const seq::Code> rows, std::span<const align::Score> left,
+              std::span<align::Score> right)
+    requires std::is_same_v<Pe, ScorePe>
+  {
+    const std::size_t n = rows.size();
+    const std::size_t npes = pes_.size();
+    if ((!left.empty() && left.size() != n) || (!right.empty() && right.size() != n)) {
+      throw std::invalid_argument("SystolicArray::stream: boundary column length mismatch");
+    }
+    if (sched_ != hw::SchedMode::Event || n == 0 || n >= (std::size_t{1} << 31)) return false;
+
+    // The exactness guard.
+    std::int64_t start = 0;
+    for (const align::Score v : left) {
+      if (v < 0) return false;
+      start = std::max<std::int64_t>(start, v);
+    }
+    for (const ScorePe& pe : pes_) {
+      if (pe.out().valid) return false;
+      for (const align::Score v : {pe.reg_a(), pe.reg_b(), pe.reg_bs(), pe.out().score}) {
+        if (v < 0) return false;
+        start = std::max<std::int64_t>(start, v);
+      }
+    }
+    const std::int64_t max_sub = scoring_.matrix ? scoring_.matrix->max_entry()
+                                                 : std::max(scoring_.match, scoring_.mismatch);
+    const std::int64_t min_sub = scoring_.matrix ? scoring_.matrix->min_entry()
+                                                 : std::min(scoring_.match, scoring_.mismatch);
+    const std::int64_t m = std::max<std::int64_t>(max_sub, 0);
+    const std::int64_t ceil = std::min<std::int64_t>(sat_.max(), INT16_MAX);
+    const std::int64_t floor = std::max<std::int64_t>(sat_.min(), INT16_MIN);
+    const std::int64_t bound = start + static_cast<std::int64_t>(npes) * m;
+    if (bound + m > ceil || min_sub < floor || scoring_.gap < floor) return false;
+
+    detail::SweepLanes& l = lanes_;
+    l.resize(npes);
+    for (std::size_t j = 0; j < npes; ++j) {
+      const ScorePe& pe = pes_[j];
+      l.sp[j] = pe.query_base();
+      l.keep[j] = pe.barrier() ? 0 : -1;
+      l.a[j] = static_cast<std::int16_t>(pe.reg_a());
+      l.b[j] = static_cast<std::int16_t>(pe.reg_b());
+      l.bs[j] = static_cast<std::int16_t>(pe.reg_bs());
+      l.bc[j] = -1;
+    }
+    detail::wavefront_sweep(l, rows, left, right, scoring_);
+
+    // Write back what the stepped window leaves: PE j saw all n rows, last
+    // at cycle n-1+j, so only PE N-1 still holds a valid strobe; barrier
+    // columns keep B (the sweep's B lane holds their forced-zero output).
+    for (std::size_t j = 0; j < npes; ++j) {
+      ScorePe& pe = pes_[j];
+      const std::uint64_t cl = pe.reg_cl();
+      const std::uint64_t bc =
+          l.bc[j] < 0 ? pe.reg_bc() : cl + static_cast<std::uint64_t>(l.bc[j]) - j + 1;
+      pe.restore(l.a[j], pe.barrier() ? pe.reg_b() : l.b[j], cl + n, l.bs[j], bc,
+                 PeLink{rows[n - 1], l.b[j], 0, j == npes - 1});
+    }
+
+    // Event bookkeeping, replaying evaluate()/commit()'s span arithmetic:
+    // cycle 0 clocks PE 0 through the head path; cycle t >= 1 clocks the
+    // previous cycle's strobe span [max(0, t-n), min(t, N)) plus the
+    // advancing edge.
+    const std::size_t last = n + npes - 2;
+    std::uint64_t evals = 1;
+    for (std::size_t t = 1; t <= last; ++t) {
+      evals += std::min(t + 1, npes) - (t > n ? t - n : 0);
+    }
+    evaluations_ += evals;
+    eval_head_ = last == 0;
+    eval_lo_ = last == 0 ? 0 : (last > n ? last - n : 0);
+    eval_hi_ = last == 0 ? 0 : npes;
+    act_lo_ = npes - 1;
+    act_hi_ = npes;
+    mode_ = ArrayMode::Compute;
+    in_ = last < n ? PeLink{rows[n - 1], left.empty() ? 0 : left[n - 1], 0, true} : PeLink{};
+    return true;
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return pes_.size(); }
@@ -295,6 +400,7 @@ class SystolicArray final : public hw::Module {
   std::vector<DrainSlot> drain_snapshot_;  ///< (Bs, Bc) latched at DrainLoad
   std::uint64_t drain_shifts_ = 0;         ///< virtual shift cursor
   std::uint64_t evaluations_ = 0;
+  detail::SweepLanes lanes_;  ///< stream() working lanes, kept across windows
 };
 
 }  // namespace swr::core

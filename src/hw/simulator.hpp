@@ -38,6 +38,11 @@ class Simulator {
     ++cycle_;
   }
 
+  /// Accounts `cycles` clocks that a module computed in one burst outside
+  /// step() (SystolicArray::stream): the cycle counter moves exactly as
+  /// that many step() calls would have moved it.
+  void advance(std::uint64_t cycles) noexcept { cycle_ += cycles; }
+
   /// Steps until `done()` returns true or `max_cycles` elapse.
   /// Returns true iff `done()` fired. @throws std::invalid_argument on a
   /// null predicate.

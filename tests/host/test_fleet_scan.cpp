@@ -51,6 +51,19 @@ TEST(FleetScan, HitsIdenticalToSingleBoardScan) {
   }
 }
 
+TEST(FleetScan, ResultHoldsNoSpareHitCapacity) {
+  // Every board contributes its own top-k to the merge; the returned list
+  // keeps k hits and none of the union's 4k capacity.
+  const Fixture fx(23);
+  ScanOptions opt;
+  opt.top_k = 2;
+  opt.min_score = 1;
+  core::BoardFleet fleet = core::make_board_fleet(core::xc2vp70(), 4, 40, kSc);
+  const ScanResult r = scan_database_fleet(fleet, fx.query, fx.records, opt);
+  EXPECT_EQ(r.hits.size(), 2u);
+  EXPECT_EQ(r.hits.capacity(), r.hits.size());
+}
+
 TEST(FleetScan, ParallelTimeShrinksWithBoards) {
   const Fixture fx(22);
   ScanOptions opt;

@@ -68,6 +68,24 @@ TEST(TopK, UnionFinalizeIsShardInvariant) {
   }
 }
 
+TEST(TopK, FinalizeReleasesUnionCapacity) {
+  // Four shards of k items each: the union holds 4k, the finalized list
+  // keeps k and must not pin the union's buffer.
+  constexpr std::size_t k = 6;
+  std::vector<int> merged;
+  for (int shard = 0; shard < 4; ++shard) {
+    std::vector<int> partial;
+    for (int x = 0; x < static_cast<int>(k); ++x) {
+      retrieve::topk_insert(partial, 10 * x + shard, k, std::less<int>{});
+    }
+    retrieve::topk_union(merged, std::move(partial));
+  }
+  ASSERT_EQ(merged.size(), 4 * k);
+  retrieve::topk_finalize(merged, k, std::less<int>{});
+  EXPECT_EQ(merged, (std::vector<int>{0, 1, 2, 3, 10, 11}));
+  EXPECT_LE(merged.capacity(), k);
+}
+
 TEST(TopK, ZeroKeepsEverything) {
   std::vector<int> top;
   for (const int x : {5, 3, 9, 3, 1}) retrieve::topk_insert(top, x, 0, std::less<int>{});

@@ -232,8 +232,8 @@ TEST(WireDecode, RejectsTrailingGarbage) {
 
 TEST(WireDecode, RejectsStringOverrunningPayload) {
   // A tenant length field claiming more bytes than the payload holds.
-  std::vector<std::uint8_t> p(8, 0);              // request_id
-  p.insert(p.end(), {0xff, 0xff, 0xff, 0x7f});    // tenant length = 2^31-1
+  const std::vector<std::uint8_t> p = {0, 0, 0, 0, 0, 0, 0, 0,   // request_id
+                                       0xff, 0xff, 0xff, 0x7f};  // tenant length = 2^31-1
   EXPECT_FALSE(decode_request(p).has_value());
 }
 
