@@ -34,7 +34,9 @@
 // only when a bound on the window's scores proves that no SatArith add
 // can clamp and every value fits int16; otherwise it declines with the
 // state untouched and the caller steps. The controller bursts only when no
-// per-cycle observer is attached, so traces still see every clock.
+// per-cycle observer is attached, so traces still see every clock. The
+// sweep's rung (AVX-512BW, AVX2 or the portable loop) is picked once, when
+// the array is built, by auto_simd_isa().
 #pragma once
 
 #include <algorithm>
@@ -45,6 +47,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/cpu_features.hpp"
 #include "core/pe.hpp"
 #include "core/wavefront_sweep.hpp"
 #include "hw/module.hpp"
@@ -98,7 +101,7 @@ class SystolicArray final : public hw::Module {
   /// is non-empty it receives the score boundary_out() carries for each
   /// row. Returns false, with the state untouched, unless the scheduler is
   /// event, no strobe is in flight, every score input is >= 0,
-  /// 1 <= rows.size() < 2^31, and the window provably never saturates and
+  /// 1 <= rows.size() <= 2^31 - N, and the window provably never saturates and
   /// fits int16: with start = max(0, every PE's A/B/Bs/out score, every
   /// left score) and M = max(max substitution, 0), every cell is at most
   /// U = start + N*M (induction over columns), so U + M <= min(sat.max,
@@ -115,7 +118,9 @@ class SystolicArray final : public hw::Module {
     if ((!left.empty() && left.size() != n) || (!right.empty() && right.size() != n)) {
       throw std::invalid_argument("SystolicArray::stream: boundary column length mismatch");
     }
-    if (sched_ != hw::SchedMode::Event || n == 0 || n >= (std::size_t{1} << 31)) return false;
+    if (sched_ != hw::SchedMode::Event || n == 0 || n + npes > (std::size_t{1} << 31)) {
+      return false;
+    }
 
     // The exactness guard.
     std::int64_t start = 0;
@@ -149,9 +154,8 @@ class SystolicArray final : public hw::Module {
       l.a[j] = static_cast<std::int16_t>(pe.reg_a());
       l.b[j] = static_cast<std::int16_t>(pe.reg_b());
       l.bs[j] = static_cast<std::int16_t>(pe.reg_bs());
-      l.bc[j] = -1;
     }
-    detail::wavefront_sweep(l, rows, left, right, scoring_);
+    detail::wavefront_sweep(l, rows, left, right, scoring_, sweep_isa_);
 
     // Write back what the stepped window leaves: PE j saw all n rows, last
     // at cycle n-1+j, so only PE N-1 still holds a valid strobe; barrier
@@ -159,22 +163,20 @@ class SystolicArray final : public hw::Module {
     for (std::size_t j = 0; j < npes; ++j) {
       ScorePe& pe = pes_[j];
       const std::uint64_t cl = pe.reg_cl();
+      const std::int32_t cycle = l.bc(j);
       const std::uint64_t bc =
-          l.bc[j] < 0 ? pe.reg_bc() : cl + static_cast<std::uint64_t>(l.bc[j]) - j + 1;
+          cycle < 0 ? pe.reg_bc() : cl + static_cast<std::uint64_t>(cycle) - j + 1;
       pe.restore(l.a[j], pe.barrier() ? pe.reg_b() : l.b[j], cl + n, l.bs[j], bc,
                  PeLink{rows[n - 1], l.b[j], 0, j == npes - 1});
     }
 
-    // Event bookkeeping, replaying evaluate()/commit()'s span arithmetic:
-    // cycle 0 clocks PE 0 through the head path; cycle t >= 1 clocks the
+    // Event bookkeeping, as evaluate()/commit()'s span arithmetic leaves
+    // it: cycle 0 clocks PE 0 through the head path, and cycle t >= 1 the
     // previous cycle's strobe span [max(0, t-n), min(t, N)) plus the
-    // advancing edge.
+    // advancing edge, min(t+1, N) - max(0, t-n) PEs. Summed over
+    // t = 1..n+N-2 with 1 added for cycle 0, that is N(n+1) - 1.
     const std::size_t last = n + npes - 2;
-    std::uint64_t evals = 1;
-    for (std::size_t t = 1; t <= last; ++t) {
-      evals += std::min(t + 1, npes) - (t > n ? t - n : 0);
-    }
-    evaluations_ += evals;
+    evaluations_ += static_cast<std::uint64_t>(npes) * (n + 1) - 1;
     eval_head_ = last == 0;
     eval_lo_ = last == 0 ? 0 : (last > n ? last - n : 0);
     eval_hi_ = last == 0 ? 0 : npes;
@@ -401,6 +403,8 @@ class SystolicArray final : public hw::Module {
   std::uint64_t drain_shifts_ = 0;         ///< virtual shift cursor
   std::uint64_t evaluations_ = 0;
   detail::SweepLanes lanes_;  ///< stream() working lanes, kept across windows
+  // stream()'s sweep rung, resolved once: SWR_SIMD, clamped to the CPU.
+  SimdIsa sweep_isa_ = auto_simd_isa();
 };
 
 }  // namespace swr::core

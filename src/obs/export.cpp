@@ -167,8 +167,11 @@ std::string to_json(const Snapshot& snap) {
            ", \"p99\": " + format_double(h.p99) + ", \"buckets\": [";
     for (std::size_t b = 0; b < h.buckets.size(); ++b) {
       if (b != 0) out += ", ";
-      out += "[" + std::to_string(h.buckets[b].first) + ", " +
-             std::to_string(h.buckets[b].second) + "]";
+      out += '[';
+      out += std::to_string(h.buckets[b].first);
+      out += ", ";
+      out += std::to_string(h.buckets[b].second);
+      out += ']';
     }
     out += "]}";
   }

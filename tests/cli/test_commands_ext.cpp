@@ -86,7 +86,7 @@ TEST(CliMap, MapsReadsToReference) {
     seq::FastqRecord rec;
     rec.sequence = seq::point_mutate(ref.subsequence(500 + 900 * static_cast<std::size_t>(k), 60),
                                      0.02, gen.engine());
-    rec.sequence.set_name("r" + std::to_string(k));
+    rec.sequence.set_name(std::string("r").append(std::to_string(k)));
     rec.qualities.assign(rec.sequence.size(), 35);
     reads.push_back(std::move(rec));
   }

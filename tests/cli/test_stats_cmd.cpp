@@ -60,7 +60,7 @@ std::string db_path() {
   seq::RandomSequenceGenerator gen(77);
   std::vector<seq::Sequence> recs;
   for (int k = 0; k < 12; ++k) {
-    recs.push_back(gen.uniform(seq::dna(), 30 + 5 * static_cast<std::size_t>(k), "r" + std::to_string(k)));
+    recs.push_back(gen.uniform(seq::dna(), 30 + 5 * static_cast<std::size_t>(k), std::string("r").append(std::to_string(k))));
   }
   recs.push_back(seq::Sequence::dna("ACGTACGTACGTACGTACGT", "planted"));
   return write_fa("stats_db_" + test_stem(), recs);

@@ -16,6 +16,8 @@
 
 #include "align/scoring.hpp"
 #include "core/controller.hpp"
+#include "core/cpu_features.hpp"
+#include "core/wavefront_sweep.hpp"
 #include "hw/sched.hpp"
 #include "hw/simulator.hpp"
 #include "test_util.hpp"
@@ -380,6 +382,141 @@ TEST(StreamBurst, GuardDeclinesWithStateUntouched) {
   std::vector<align::Score> short_col(3, 0);
   EXPECT_THROW((void)loaded(16, hw::SchedMode::Event)->stream(rows, short_col, {}),
                std::invalid_argument);
+}
+
+// ---- the sweep's vector rungs, lane for lane against the portable loop ------
+
+struct SweepCase {
+  std::size_t npes = 1;
+  std::size_t n = 1;
+  bool with_left = false;
+  bool with_right = false;
+  bool warm = false;      // nonzero starting A/B/Bs, as a later pass leaves them
+  bool barriers = false;  // barrier lanes, as packed batches load them
+  std::uint64_t seed = 0;
+  const align::SubstitutionMatrix* matrix = nullptr;
+};
+
+struct SweepOut {
+  std::vector<std::int16_t> a, b, bs;
+  std::vector<std::int32_t> bc;
+  std::vector<align::Score> right;
+
+  friend bool operator==(const SweepOut&, const SweepOut&) = default;
+};
+
+// Builds the case's lanes from its seed (padding lanes get junk, which no
+// rung may let into a live lane) and runs one sweep on `isa`'s rung.
+SweepOut run_sweep(const SweepCase& c, SimdIsa isa) {
+  std::mt19937_64 rng(c.seed);
+  const auto draw = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  align::Scoring sc;
+  sc.matrix = c.matrix;
+  sc.match = draw(1, 5);
+  sc.mismatch = -draw(0, 4);
+  sc.gap = -draw(1, 5);
+  const int codes = c.matrix ? 20 : 4;
+
+  detail::SweepLanes l;
+  l.resize(c.npes);
+  for (auto* v : {&l.sp, &l.keep, &l.a, &l.b, &l.bs, &l.bc_lo, &l.bc_hi}) {
+    for (std::int16_t& x : *v) x = static_cast<std::int16_t>(draw(-300, 300));
+  }
+  for (std::size_t j = 0; j < c.npes; ++j) {
+    l.sp[j] = static_cast<std::int16_t>(draw(0, codes - 1));
+    l.keep[j] = c.barriers && draw(0, 4) == 0 ? 0 : -1;
+    l.a[j] = static_cast<std::int16_t>(c.warm ? draw(0, 40) : 0);
+    l.b[j] = static_cast<std::int16_t>(c.warm ? draw(0, 40) : 0);
+    l.bs[j] = static_cast<std::int16_t>(c.warm ? draw(0, 40) : 0);
+  }
+  std::vector<seq::Code> rows(c.n);
+  for (seq::Code& r : rows) r = static_cast<seq::Code>(draw(0, codes - 1));
+  // A copy of the query late in the rows: on a long window without left
+  // scores, warm lanes or barriers, nothing else reaches its score, so Bs
+  // improves past cycle 65,535 and Bc's high half is written.
+  if (c.n > c.npes + 10) {
+    for (std::size_t j = 0; j < c.npes; ++j) {
+      rows[c.n - c.npes - 10 + j] = static_cast<seq::Code>(l.sp[j]);
+    }
+  }
+  std::vector<align::Score> left;
+  if (c.with_left) {
+    for (std::size_t i = 0; i < c.n; ++i) left.push_back(draw(0, 40));
+  }
+  SweepOut out;
+  if (c.with_right) out.right.assign(c.n, -1);
+  detail::wavefront_sweep(l, rows, left, out.right, sc, isa);
+  for (std::size_t j = 0; j < c.npes; ++j) {
+    out.a.push_back(l.a[j]);
+    out.b.push_back(l.b[j]);
+    out.bs.push_back(l.bs[j]);
+    out.bc.push_back(l.bc(j));
+  }
+  return out;
+}
+
+std::vector<SimdIsa> vector_sweep_rungs() {
+  std::vector<SimdIsa> rungs;
+  for (const SimdIsa isa : {SimdIsa::Avx2, SimdIsa::Avx512}) {
+    if (cpu_supports(isa)) rungs.push_back(isa);
+  }
+  return rungs;
+}
+
+std::string sweep_label(const SweepCase& c, SimdIsa isa) {
+  return std::string(simd_isa_name(isa)) + " npes=" + std::to_string(c.npes) +
+         " n=" + std::to_string(c.n) + (c.with_left ? " left" : "") +
+         (c.with_right ? " right" : "") + (c.warm ? " warm" : "") +
+         (c.barriers ? " barriers" : "") +
+         " seed=" + std::to_string(c.seed);
+}
+
+TEST(SweepRungs, ShapesMatchPortableLaneForLane) {
+  const std::vector<SimdIsa> rungs = vector_sweep_rungs();
+  if (rungs.empty()) GTEST_SKIP() << "no vector sweep rung on this CPU";
+  std::uint64_t seed = 1;
+  for (const std::size_t npes : {1, 15, 16, 17, 31, 33, 100, 257}) {
+    for (const std::size_t n : {1, 2, 15, 16, 33, 100, 300}) {
+      for (int flags = 0; flags < 16; ++flags) {
+        const SweepCase c{npes, n, (flags & 1) != 0, (flags & 2) != 0, (flags & 4) != 0,
+                          (flags & 8) != 0, seed++};
+        const SweepOut want = run_sweep(c, SimdIsa::Scalar);
+        for (const SimdIsa isa : rungs) {
+          EXPECT_EQ(run_sweep(c, isa), want) << sweep_label(c, isa);
+        }
+        if (HasFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(SweepRungs, LongWindowsCarryBcHighHalf) {
+  const std::vector<SimdIsa> rungs = vector_sweep_rungs();
+  if (rungs.empty()) GTEST_SKIP() << "no vector sweep rung on this CPU";
+  for (const std::size_t npes : {1, 16, 17, 100, 257}) {
+    const SweepCase plain{npes, 70'000, false, true, false, false, 500 + npes};
+    const SweepCase full{npes, 70'000, true, true, true, true, 600 + npes};
+    for (const SweepCase& c : {plain, full}) {
+      const SweepOut want = run_sweep(c, SimdIsa::Scalar);
+      // A lone PE reaches its best, one match, within the first rows.
+      if (!c.with_left && npes > 1) {
+        EXPECT_GT(*std::max_element(want.bc.begin(), want.bc.end()), 65'535) << npes;
+      }
+      for (const SimdIsa isa : rungs) {
+        EXPECT_EQ(run_sweep(c, isa), want) << sweep_label(c, isa);
+      }
+    }
+  }
+}
+
+TEST(SweepRungs, MatrixSchemesTakeThePortableLoop) {
+  // Every rung accepts a substitution matrix and runs the portable loop.
+  for (const SimdIsa isa : {SimdIsa::Avx2, SimdIsa::Avx512}) {
+    const SweepCase c{33, 120, true, true, true, true, 900, &align::blosum62()};
+    EXPECT_EQ(run_sweep(c, isa), run_sweep(c, SimdIsa::Scalar)) << sweep_label(c, isa);
+  }
 }
 
 }  // namespace

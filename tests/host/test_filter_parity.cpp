@@ -114,7 +114,7 @@ TEST(FilterParity, Blosum62ProteinParity) {
   const seq::Sequence query = gen.uniform(seq::protein(), 90, "pq");
   std::vector<seq::Sequence> records;
   for (std::size_t r = 0; r < 40; ++r) {
-    seq::Sequence rec = gen.uniform(seq::protein(), 50 + 31 * (r % 7), "p" + std::to_string(r));
+    seq::Sequence rec = gen.uniform(seq::protein(), 50 + 31 * (r % 7), std::string("p").append(std::to_string(r)));
     if (r % 8 == 2) rec.append(seq::point_mutate(query, 0.04 * static_cast<double>(r % 4 + 1),
                                                  gen.engine()));
     records.push_back(std::move(rec));

@@ -75,7 +75,7 @@ inline svc::net::WireRequest planted_request(std::uint64_t id, const std::string
   svc::net::WireRequest req;
   req.request_id = id;
   req.tenant = tenant;
-  req.query_name = "q";
+  req.query_name = std::string("q");
   req.query = "ACGTACGTACGTACGTACGT";
   req.top_k = 5;
   req.min_score = 1;

@@ -106,7 +106,7 @@ TEST(Integration, PackedBatchThenRetrieval) {
   seq::RandomSequenceGenerator gen(55);
   const seq::Sequence db = gen.uniform(seq::dna(), 2000, "db");
   std::vector<seq::Sequence> queries;
-  for (int k = 0; k < 3; ++k) queries.push_back(gen.uniform(seq::dna(), 20, "q" + std::to_string(k)));
+  for (int k = 0; k < 3; ++k) queries.push_back(gen.uniform(seq::dna(), 20, std::string("q").append(std::to_string(k))));
   // Make query 1 a planted winner.
   queries[1] = db.subsequence(900, 20);
   queries[1].set_name("q1");
